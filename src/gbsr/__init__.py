@@ -6,17 +6,16 @@ representations from simply copying the raw graph, and a multi-layer
 propagation backbone turns the result into top-N item rankings.
 """
 
-from .backbone import EmbeddingTable, NodeRepresentations, forward, score, score_all_items
-from .data import (Dataset, SyntheticSpec, TrainingTriple, generate_synthetic,
-                   load_dataset, sample_batch)
+from .backbone import EmbeddingTable, NodeRepresentations, forward, score_all_items
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset
 from .denoiser import (DenoiserParams, EdgeConfidenceMap, denoise,
-                       edge_confidence, export_confidence, relax_sample)
+                       export_confidence, relax_sample)
 from .errors import (CheckpointError, ConfigError, DataError, GbsrError,
                      NumericError, ParseError)
-from .evaluation import MetricsReport, RunMetrics, evaluate, multi_seed_report, rank_user
-from .graph import WeightedAdjacency, build_adjacency, propagate
+from .evaluation import MetricsReport, RunMetrics, evaluate, rank_user
+from .graph import WeightedAdjacency, build_adjacency
 from .hsic import KernelMatrix, bottleneck_loss, hsic_estimate, rbf_kernel
-from .objective import LossBreakdown, bpr_loss, gradients, total_loss
+from .objective import LossBreakdown, gradients
 from .trainer import (TrainConfig, TrainState, fit, init, load_checkpoint,
                       save_checkpoint, train_epoch)
 
@@ -25,13 +24,11 @@ __all__ = [
     "EdgeConfidenceMap", "EmbeddingTable", "GbsrError", "KernelMatrix",
     "LossBreakdown", "MetricsReport", "NodeRepresentations", "NumericError",
     "ParseError", "RunMetrics", "SyntheticSpec", "TrainConfig", "TrainState",
-    "TrainingTriple", "WeightedAdjacency", "bottleneck_loss", "bpr_loss",
-    "build_adjacency", "denoise", "edge_confidence", "evaluate",
-    "export_confidence", "fit", "forward", "generate_synthetic", "gradients",
-    "hsic_estimate", "init", "load_checkpoint", "load_dataset",
-    "multi_seed_report", "propagate", "rank_user", "rbf_kernel",
-    "relax_sample", "sample_batch", "save_checkpoint", "score",
-    "score_all_items", "total_loss", "train_epoch",
+    "WeightedAdjacency", "bottleneck_loss", "build_adjacency", "denoise",
+    "evaluate", "export_confidence", "fit", "forward", "generate_synthetic",
+    "gradients", "hsic_estimate", "init", "load_checkpoint", "load_dataset",
+    "rank_user", "rbf_kernel", "relax_sample", "save_checkpoint",
+    "score_all_items", "train_epoch",
 ]
 
 __version__ = "0.1.0"

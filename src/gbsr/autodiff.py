@@ -51,25 +51,16 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.ndim != 0:
-                raise ValueError("backward() without an explicit seed needs a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        if self.data.ndim != 0:
+            raise ValueError("backward() needs a scalar output")
         order = _toposort(self)
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -108,9 +99,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(-g, b.data.shape))
 
         return _make(a.data - b.data, (a, b), backward)
-
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         a, b = self, _coerce(other)
@@ -234,10 +222,6 @@ def _toposort(root):
 
 def constant(x) -> Tensor:
     return Tensor(x)
-
-
-def parameter(x) -> Tensor:
-    return Tensor(np.array(x, dtype=np.float64), requires_grad=True)
 
 
 # -- elementwise nonlinearities ---------------------------------------------

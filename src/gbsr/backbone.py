@@ -3,17 +3,20 @@
 Layer 0 is the trainable embedding table itself; layer l+1 is one normalized
 aggregation of layer l.  The readout averages layers 0..L, and preference
 scores are plain inner products between user and item readout rows.
+`layer_readout` is the one definition of that loop; training records it on the
+tape and `forward` runs it on constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, DataError
-from .graph import WeightedAdjacency, propagate
+from .graph import EdgeLayout, WeightedAdjacency
 
 MAX_LAYERS = 4
 
@@ -49,37 +52,39 @@ class NodeRepresentations:
         return self.readout.shape[0] - self.user_count
 
 
+def layer_readout(embeddings, layers: int, step):
+    """Layer states E, step(E), ..., step^L(E) and their mean (the readout).
+
+    step is one normalized aggregation.  Training and evaluation pass
+    `aggregation` on tape tensors; the detached original-graph branch passes
+    its cached operator on plain arrays.
+    """
+    states = [embeddings]
+    acc = embeddings
+    for _ in range(layers):
+        states.append(step(states[-1]))
+        acc = acc + states[-1]
+    return states, acc / float(layers + 1)
+
+
+def aggregation(normalized: ad.Tensor, layout: EdgeLayout):
+    """One propagation step over the normalized entry values of `layout`."""
+    shape = (layout.node_count, layout.node_count)
+    return lambda state: ad.spmm(normalized, layout.rows, layout.cols, shape, state)
+
+
 def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentations:
     if table.matrix.shape[0] != adj.node_count:
         raise DataError(
             f"embedding matrix has {table.matrix.shape[0]} rows but the graph has "
             f"{adj.node_count} nodes")
-    layers = [table.matrix]
-    for _ in range(table.layer_count):
-        layers.append(propagate(adj, layers[-1]))
-    acc = layers[0]
-    for state in layers[1:]:
-        acc = acc + state
-    readout = acc / float(len(layers))
-    return NodeRepresentations(layers, readout, adj.layout.user_count)
-
-
-def score(reps: NodeRepresentations, user: int, item: int) -> float:
-    _check_user(reps, user)
-    _check_item(reps, item)
-    return float(np.dot(reps.readout[user], reps.readout[reps.user_count + item]))
+    step = aggregation(ad.constant(adj.normalized_weights), adj.layout)
+    states, readout = layer_readout(ad.constant(table.matrix), table.layer_count, step)
+    return NodeRepresentations([s.data for s in states], readout.data,
+                               adj.layout.user_count)
 
 
 def score_all_items(reps: NodeRepresentations, user: int) -> np.ndarray:
-    _check_user(reps, user)
-    return reps.readout[reps.user_count:] @ reps.readout[user]
-
-
-def _check_user(reps: NodeRepresentations, user: int) -> None:
     if not (0 <= user < reps.user_count):
         raise DataError(f"user id {user} outside [0, {reps.user_count})")
-
-
-def _check_item(reps: NodeRepresentations, item: int) -> None:
-    if not (0 <= item < reps.item_count):
-        raise DataError(f"item id {item} outside [0, {reps.item_count})")
+    return reps.readout[reps.user_count:] @ reps.readout[user]

@@ -9,23 +9,12 @@ Exit codes: 0 success, 1 configuration errors, 2 data errors, 3 numeric or
 checkpoint failures.
 """
 
-import os
-import sys
-
-# Best-effort BLAS thread cap; must happen before numpy first loads.
-_threads = os.environ.get("GBSR_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import data as data_mod
 from . import denoiser as denoiser_mod
@@ -207,22 +196,27 @@ def run_train(cfg: RunConfig) -> None:
     _write_manifest(cfg, "train", outputs)
 
 
-def _load_checkpoint_with_overrides(cfg: RunConfig):
+def _load_checkpoint_and_data(cfg: RunConfig):
+    _require(cfg, "checkpoint", "interactions", "social", "out")
     state, ckpt_cfg = trainer.load_checkpoint(cfg.checkpoint)
     # the checkpoint's embedded config governs evaluation; explicitly given
     # keys (file or flag) override it
     overrides = {k: getattr(cfg.train, k) for k in cfg.explicit_train}
     merged = replace(ckpt_cfg, **overrides) if overrides else ckpt_cfg
     merged.validate()
-    return state, merged
+    dataset = data_mod.load_dataset(cfg.interactions, cfg.social,
+                                    split_ratio=cfg.split_ratio,
+                                    seed=merged.seed)
+    rows = state.embeddings.matrix.shape[0]
+    if rows != dataset.node_count:
+        raise DataError(
+            f"checkpoint {cfg.checkpoint} has {rows} embedding rows but the dataset "
+            f"has {dataset.node_count} users + items; it was trained on other data")
+    return state, merged, dataset
 
 
 def run_evaluate(cfg: RunConfig) -> None:
-    _require(cfg, "checkpoint", "interactions", "social", "out")
-    state, ckpt_cfg = _load_checkpoint_with_overrides(cfg)
-    dataset = data_mod.load_dataset(cfg.interactions, cfg.social,
-                                    split_ratio=cfg.split_ratio,
-                                    seed=ckpt_cfg.seed)
+    state, ckpt_cfg, dataset = _load_checkpoint_and_data(cfg)
     report = trainer.evaluate_state(state, dataset, ckpt_cfg)
     atomic_write_text(Path(cfg.out) / "metrics.json",
                       _json_text(report.to_json_dict()))
@@ -231,11 +225,7 @@ def run_evaluate(cfg: RunConfig) -> None:
 
 
 def run_export_confidence(cfg: RunConfig) -> None:
-    _require(cfg, "checkpoint", "interactions", "social", "out")
-    state, ckpt_cfg = _load_checkpoint_with_overrides(cfg)
-    dataset = data_mod.load_dataset(cfg.interactions, cfg.social,
-                                    split_ratio=cfg.split_ratio,
-                                    seed=ckpt_cfg.seed)
+    state, ckpt_cfg, dataset = _load_checkpoint_and_data(cfg)
     cmap = denoiser_mod.denoise(state.denoiser, state.embeddings.matrix,
                                 dataset, mode="deterministic")
     text = denoiser_mod.confidence_csv(cmap)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -27,15 +27,6 @@ NEGATIVE_RETRY_BOUND = 100
 
 # guards float fuzz in floor(ratio * n): 0.7 * 10 must count as 7, not 6
 _FLOOR_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class TrainingTriple:
-    """One BPR training example: user, observed item, sampled unobserved item."""
-
-    user: int
-    positive: int
-    negative: int
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,6 @@ class Dataset:
 
     def test_items_of(self, user: int) -> np.ndarray:
         return self._test_by_user[user]
-
-    def in_train(self, user: int, item: int) -> bool:
-        key = user * self.item_count + item
-        pos = np.searchsorted(self._train_keys, key)
-        return pos < self._train_keys.size and self._train_keys[pos] == key
 
     def without_social(self) -> "Dataset":
         """Same interactions, empty social graph (ablation baseline)."""
@@ -267,28 +253,21 @@ def sample_batch_arrays(dataset: Dataset, batch_size: int,
     negatives = rng.integers(0, dataset.item_count, size=batch_size)
     keys = dataset._train_keys
 
-    def _in_train(neg):
+    def _is_positive(neg):
         cand = users * dataset.item_count + neg
         pos = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
         return keys[pos] == cand
 
     for _ in range(NEGATIVE_RETRY_BOUND):
-        bad = _in_train(negatives)
+        bad = _is_positive(negatives)
         if not bad.any():
             break
         negatives[bad] = rng.integers(0, dataset.item_count, size=int(bad.sum()))
-    if _in_train(negatives).any():
+    if _is_positive(negatives).any():
         raise DataError(
             f"negative sampling failed after {NEGATIVE_RETRY_BOUND} redraws; "
             "some user interacts with nearly every item")
     return users, positives, negatives
-
-
-def sample_batch(dataset: Dataset, batch_size: int,
-                 rng: np.random.Generator) -> List[TrainingTriple]:
-    users, positives, negatives = sample_batch_arrays(dataset, batch_size, rng)
-    return [TrainingTriple(int(u), int(p), int(n))
-            for u, p, n in zip(users, positives, negatives)]
 
 
 # -- synthetic generator -----------------------------------------------------

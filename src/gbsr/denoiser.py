@@ -10,6 +10,8 @@ with w clamped to [1e-6, 1 - 1e-6] first, and the final weight is
     rho = min(1, relax + epsilon).
 Stochastic mode draws delta uniformly per pair; deterministic mode fixes
 delta = 0.5, which makes rho a monotone function of w alone.
+`confidences` and `relax_sample` are written on the autodiff tape; training
+records them on the parameter leaves and `denoise` runs them on constants.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
+from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
 
@@ -77,33 +79,30 @@ class DenoiserParams:
         )
 
 
-def confidence_batch(params: DenoiserParams, emb_a: np.ndarray,
-                     emb_b: np.ndarray) -> np.ndarray:
-    """Confidences for stacked pairs; rows of emb_a/emb_b are first/second
-    endpoints in canonical order."""
-    x = np.concatenate([emb_a, emb_b, emb_a * emb_b], axis=1)
-    h = np.tanh(x @ params.layer1_weight + params.layer1_bias)
-    logits = (h @ params.layer2_weight + params.layer2_bias)[:, 0]
-    return expit(logits)
+def confidences(embeddings: ad.Tensor, head, first, second) -> ad.Tensor:
+    """Confidence of every pair (first[k], second[k]) in canonical order.
+
+    head is the (layer1_weight, layer1_bias, layer2_weight, layer2_bias)
+    tensors; training passes leaves, evaluation passes constants.
+    """
+    W1, b1, W2, b2 = head
+    ea = ad.gather(embeddings, first)
+    eb = ad.gather(embeddings, second)
+    x = ad.concat([ea, eb, ea * eb], axis=1)
+    h = ad.tanh(x @ W1 + b1)
+    return ad.sigmoid((h @ W2 + b2).reshape(-1))
 
 
-def edge_confidence(params: DenoiserParams, e_a: np.ndarray, e_b: np.ndarray) -> float:
-    e_a = np.asarray(e_a, dtype=np.float64).reshape(1, -1)
-    e_b = np.asarray(e_b, dtype=np.float64).reshape(1, -1)
-    if e_a.shape[1] != params.dim or e_b.shape[1] != params.dim:
-        raise ConfigError(
-            f"embedding dimension mismatch: params expect {params.dim}, got "
-            f"{e_a.shape[1]} and {e_b.shape[1]}")
-    return float(confidence_batch(params, e_a, e_b)[0])
-
-
-def relax_sample(w, delta, temperature: float):
-    """Relaxed Bernoulli reparameterization; accepts scalars or arrays."""
+def relax_sample(w: ad.Tensor, delta, temperature: float,
+                 observation_bias: float) -> ad.Tensor:
+    """Relaxed Bernoulli reparameterization plus the observation floor:
+    min(1, relax(w, delta, t) + epsilon) for confidences w and draws delta."""
     if not (temperature > 0.0):
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    w = np.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
+    w = ad.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
     d = np.clip(delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
-    return expit((np.log(d / (1.0 - d)) + w) / temperature)
+    relaxed = ad.sigmoid((w + np.log(d / (1.0 - d))) / temperature)
+    return ad.minimum(relaxed + observation_bias, 1.0)
 
 
 class EdgeConfidenceMap:
@@ -120,18 +119,9 @@ class EdgeConfidenceMap:
             raise DataError("confidence map arrays must align with the pair list")
         if n and (self.relaxed.min() < 0.0 or self.relaxed.max() > 1.0):
             raise DataError("relaxed weights must lie in [0, 1]")
-        self._index = {(int(a), int(b)): k for k, (a, b) in enumerate(self.pairs)}
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
-
-    def lookup(self, a: int, b: int):
-        """(confidence, relaxed_weight) for the unordered pair {a, b}."""
-        key = (min(a, b), max(a, b))
-        if key not in self._index:
-            raise DataError(f"unknown social pair {key}")
-        k = self._index[key]
-        return float(self.confidence[k]), float(self.relaxed[k])
 
 
 def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
@@ -154,16 +144,17 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
     pairs = dataset.social_pairs
     if pairs.shape[0] == 0:
         return EdgeConfidenceMap(pairs, np.empty(0), np.empty(0))
-    w = confidence_batch(params, emb[pairs[:, 0]], emb[pairs[:, 1]])
+    head = tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
+                                         params.layer2_weight, params.layer2_bias))
+    w = confidences(ad.constant(emb), head, pairs[:, 0], pairs[:, 1])
     if mode == "stochastic":
         if rng is None:
             raise ConfigError("stochastic mode needs an rng")
         delta = rng.uniform(size=pairs.shape[0])
     else:
         delta = np.full(pairs.shape[0], 0.5)
-    relaxed = np.minimum(relax_sample(w, delta, params.temperature)
-                         + params.observation_bias, 1.0)
-    return EdgeConfidenceMap(pairs, w, relaxed)
+    relaxed = relax_sample(w, delta, params.temperature, params.observation_bias)
+    return EdgeConfidenceMap(pairs, w.data, relaxed.data)
 
 
 def confidence_csv(cmap: EdgeConfidenceMap) -> str:

@@ -9,8 +9,8 @@ the list; IDCG stacks the user's test items at the top, truncated at N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -106,26 +106,3 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
         recall={n: recall_sum[n] / users for n in cutoffs},
         ndcg={n: ndcg_sum[n] / users for n in cutoffs},
         evaluated_user_count=users)
-
-
-def multi_seed_report(config, dataset: Dataset,
-                      seeds: Sequence[int]) -> MetricsReport:
-    """Train once per seed and average the test metrics across runs."""
-    from dataclasses import replace
-
-    from . import trainer  # deferred: trainer imports this module
-
-    if not seeds:
-        raise DataError("multi_seed_report needs at least one seed")
-    runs: List[RunMetrics] = []
-    users = 0
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        best, _ = trainer.fit(cfg, dataset)
-        report = trainer.evaluate_state(best, dataset, cfg)
-        users = report.evaluated_user_count
-        runs.append(RunMetrics(int(seed), dict(report.recall), dict(report.ndcg)))
-    cutoffs = tuple(config.cutoffs)
-    recall = {n: sum(r.recall[n] for r in runs) / len(runs) for n in cutoffs}
-    ndcg = {n: sum(r.ndcg[n] for r in runs) / len(runs) for n in cutoffs}
-    return MetricsReport(recall, ndcg, users, tuple(runs))

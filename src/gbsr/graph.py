@@ -6,6 +6,8 @@ every train interaction; social entries carry a per-pair weight in [0, 1]
 (1 when no weights are supplied), interaction entries carry weight 1.
 Entries are normalized as w / sqrt(d_row * d_col) where degrees are weighted
 row sums floored at DEGREE_FLOOR, so fully down-weighted rows stay finite.
+`renormalize` is that step on the autodiff tape; training records it on the
+relaxed weights and `build_adjacency` runs it on constants.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from . import autodiff as ad
 from .data import Dataset
 from .errors import DataError
 
@@ -43,32 +46,37 @@ class EdgeLayout:
         self.node_count = dataset.node_count
         self.user_count = M
         self.item_count = dataset.item_count
-        self._original_normalized: Optional[np.ndarray] = None
         self._original_csr: Optional[sp.csr_matrix] = None
 
-    def values(self, social_weights: np.ndarray) -> np.ndarray:
+    def values(self, social_weights: ad.Tensor) -> ad.Tensor:
         if social_weights.shape != (self.social_count,):
             raise DataError("social weight vector does not match the social pair count")
-        ones = np.ones(self.interaction_count)
-        return np.concatenate([social_weights, social_weights, ones, ones])
+        ones = ad.constant(np.ones(self.interaction_count))
+        return ad.concat([social_weights, social_weights, ones, ones], axis=0)
 
-    def original_normalized_values(self) -> np.ndarray:
-        """Normalized entry values with every social weight at 1, cached."""
-        if self._original_normalized is None:
-            adj = WeightedAdjacency(self, self.values(np.ones(self.social_count)))
-            self._original_normalized = adj.normalized_weights
-        return self._original_normalized
+    def original_values(self) -> ad.Tensor:
+        """Normalized entry values with every social weight at 1."""
+        ones = ad.constant(np.ones(self.social_count))
+        return renormalize(self.values(ones), self)[1]
 
     def original_normalized_csr(self) -> sp.csr_matrix:
+        """The all-ones graph's normalized operator, built once per layout."""
         if self._original_csr is None:
             self._original_csr = sp.csr_matrix(
-                (self.original_normalized_values(), (self.rows, self.cols)),
+                (self.original_values().data, (self.rows, self.cols)),
                 shape=(self.node_count, self.node_count))
         return self._original_csr
 
 
+def renormalize(values: ad.Tensor, layout: EdgeLayout):
+    """(degrees, normalized entry values) for entry values in layout order."""
+    degrees = ad.scatter_sum(values, layout.rows, layout.node_count)
+    dinv = ad.maximum(degrees, DEGREE_FLOOR) ** -0.5
+    return degrees, (values * ad.gather(dinv, layout.rows)) * ad.gather(dinv, layout.cols)
+
+
 class WeightedAdjacency:
-    """Symmetric weighted adjacency plus its normalized form."""
+    """Symmetric weighted adjacency plus its normalized entry values."""
 
     def __init__(self, layout: EdgeLayout, weights: np.ndarray):
         self.layout = layout
@@ -76,19 +84,9 @@ class WeightedAdjacency:
         self.rows = layout.rows
         self.cols = layout.cols
         self.weights = weights
-        self.degrees = np.bincount(self.rows, weights=weights,
-                                   minlength=self.node_count)
-        dinv = np.power(np.maximum(self.degrees, DEGREE_FLOOR), -0.5)
-        self.normalized_weights = (weights * dinv[self.rows]) * dinv[self.cols]
-        self._csr: Optional[sp.csr_matrix] = None
-
-    def normalized_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            keep = self.weights > 0.0  # zero-weight edges vanish entirely
-            self._csr = sp.csr_matrix(
-                (self.normalized_weights[keep], (self.rows[keep], self.cols[keep])),
-                shape=(self.node_count, self.node_count))
-        return self._csr
+        degrees, normalized = renormalize(ad.constant(weights), layout)
+        self.degrees = degrees.data
+        self.normalized_weights = normalized.data
 
 
 def layout_for(dataset: Dataset) -> EdgeLayout:
@@ -113,7 +111,7 @@ def build_adjacency(dataset: Dataset, social_weights=None) -> WeightedAdjacency:
         w = _extract_social_weights(dataset, social_weights)
     if w.size and (np.min(w) < 0.0 or np.max(w) > 1.0):
         raise DataError("social weights must lie in [0, 1]")
-    return WeightedAdjacency(layout, layout.values(w))
+    return WeightedAdjacency(layout, layout.values(ad.constant(w)).data)
 
 
 def _extract_social_weights(dataset: Dataset, social_weights) -> np.ndarray:
@@ -126,20 +124,3 @@ def _extract_social_weights(dataset: Dataset, social_weights) -> np.ndarray:
     if w.shape != (dataset.social_pairs.shape[0],):
         raise DataError("social weight vector does not match the social pair count")
     return w
-
-
-def propagate(adj: WeightedAdjacency, embeddings: np.ndarray) -> np.ndarray:
-    """One normalized aggregation step: rows of `embeddings` are node states."""
-    E = np.asarray(embeddings, dtype=np.float64)
-    if E.ndim != 2 or E.shape[0] != adj.node_count:
-        raise DataError(
-            f"embedding matrix must have {adj.node_count} rows, got shape {E.shape}")
-    return adj.normalized_csr() @ E
-
-
-def adjacency_csv(adj: WeightedAdjacency) -> str:
-    """Debug dump: row,col,normalized-weight for every stored entry."""
-    lines = ["row,col,normalized_weight"]
-    for r, c, w in zip(adj.rows, adj.cols, adj.normalized_weights):
-        lines.append(f"{int(r)},{int(c)},{float(w)!r}")
-    return "\n".join(lines) + "\n"

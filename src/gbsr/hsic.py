@@ -9,6 +9,10 @@ holds this against the definitional trace form.
 
 Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
+
+Each stage is written once on the autodiff tape: the training objective
+records `bottleneck` on its readouts, and `rbf_kernel`, `hsic_estimate` and
+`bottleneck_loss` run the same functions on constants.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, DataError
 
 
@@ -28,12 +33,42 @@ class KernelMatrix:
     bandwidth: float
 
 
-def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
-    sq = np.sum(X * X, axis=1, keepdims=True)
-    d2 = sq + sq.T - 2.0 * (X @ X.T)
-    d2 = np.maximum(d2, 0.0)  # tiny negatives from cancellation
-    np.fill_diagonal(d2, 0.0)
-    return d2
+def normalize_rows(X: ad.Tensor) -> ad.Tensor:
+    # 1e-24 under the root keeps all-zero rows finite without moving others
+    sq = (X * X).sum(axis=1, keepdims=True)
+    return X * (sq + 1e-24) ** -0.5
+
+
+def rbf(X: ad.Tensor, sigma_sq: float) -> ad.Tensor:
+    n = X.shape[0]
+    sq = (X * X).sum(axis=1, keepdims=True)
+    d2 = sq + sq.T - (X @ X.T) * 2.0
+    d2 = ad.maximum(d2, 0.0)  # tiny negatives from cancellation
+    d2 = d2 * (np.ones((n, n)) - np.eye(n))  # exact zero diagonal -> K_ii = 1
+    return ad.exp(-d2 / (2.0 * sigma_sq))
+
+
+def center(K: ad.Tensor) -> ad.Tensor:
+    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+
+def dependence(Kx: ad.Tensor, Ky: ad.Tensor) -> ad.Tensor:
+    n = Kx.shape[0]
+    return (center(Kx) * center(Ky)).sum() / float((n - 1) ** 2)
+
+
+def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
+               normalize: bool = True) -> ad.Tensor:
+    """HSIC between rows of X and Y restricted to the distinct batch users."""
+    users = np.unique(np.asarray(batch_users, dtype=np.int64))
+    if users.size < 2:
+        raise DataError("HSIC needs at least 2 distinct users in the batch")
+    X = ad.gather(X, users)
+    Y = ad.gather(Y, users)
+    if normalize:
+        X = normalize_rows(X)
+        Y = normalize_rows(Y)
+    return dependence(rbf(X, sigma_sq), rbf(Y, sigma_sq))
 
 
 def rbf_kernel(X: np.ndarray, sigma_sq: float) -> KernelMatrix:
@@ -42,13 +77,7 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> KernelMatrix:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
     if not (sigma_sq > 0.0):
         raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
-    K = np.exp(-_pairwise_sq_dists(X) / (2.0 * sigma_sq))
-    np.fill_diagonal(K, 1.0)  # exact unit diagonal regardless of rounding
-    return KernelMatrix(K, float(sigma_sq))
-
-
-def _double_center(K: np.ndarray) -> np.ndarray:
-    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+    return KernelMatrix(rbf(ad.constant(X), sigma_sq).data, float(sigma_sq))
 
 
 def hsic_estimate(kx, ky) -> float:
@@ -57,31 +86,15 @@ def hsic_estimate(kx, ky) -> float:
     if Kx.shape != Ky.shape or Kx.ndim != 2 or Kx.shape[0] != Kx.shape[1]:
         raise DataError(
             f"kernel matrices must be square and equal-sized, got {Kx.shape} and {Ky.shape}")
-    n = Kx.shape[0]
-    if n < 2:
+    if Kx.shape[0] < 2:
         raise DataError("HSIC needs at least 2 samples")
-    return float(np.sum(_double_center(Kx) * _double_center(Ky)) / (n - 1) ** 2)
-
-
-def normalize_rows(X: np.ndarray) -> np.ndarray:
-    # 1e-24 inside the sqrt keeps all-zero rows finite without moving others
-    return X / np.sqrt(np.sum(X * X, axis=1, keepdims=True) + 1e-24)
+    return float(dependence(ad.constant(Kx), ad.constant(Ky)).data)
 
 
 def bottleneck_loss(reps_denoised: np.ndarray, reps_original: np.ndarray,
                     batch_users: np.ndarray, sigma_sq: float,
                     normalize: bool = True) -> float:
-    """HSIC between the two representation sets restricted to the batch users.
-
-    batch_users is deduplicated; each distinct user contributes one row per
-    side.  Raises when fewer than 2 distinct users remain.
-    """
-    users = np.unique(np.asarray(batch_users, dtype=np.int64))
-    if users.size < 2:
-        raise DataError("HSIC batch needs at least 2 distinct users")
-    X = np.asarray(reps_denoised, dtype=np.float64)[users]
-    Y = np.asarray(reps_original, dtype=np.float64)[users]
-    if normalize:
-        X = normalize_rows(X)
-        Y = normalize_rows(Y)
-    return hsic_estimate(rbf_kernel(X, sigma_sq), rbf_kernel(Y, sigma_sq))
+    """`bottleneck` on plain arrays; each distinct user contributes one row
+    per side.  Raises when fewer than 2 distinct users remain."""
+    return float(bottleneck(ad.constant(reps_denoised), ad.constant(reps_original),
+                            batch_users, sigma_sq, normalize).data)

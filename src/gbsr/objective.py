@@ -1,7 +1,8 @@
 """Training objective: pairwise ranking loss, kernel bottleneck, L2 anchor.
 
-`bpr_loss` and `total_loss` are plain evaluations on precomputed values.
-`gradients` records the entire training computation on the autodiff tape:
+`gradients` records the entire training computation on the autodiff tape,
+composing the stage functions of `denoiser`, `graph`, `backbone` and `hsic`
+(the same functions evaluation runs on constants):
 
     E0 rows -> pair confidences -> relaxed social weights -> degree
     renormalization -> L-layer propagation (denoised graph) -> batch scores
@@ -10,9 +11,9 @@
 
 so every parameter gradient, including the path through the confidence MLP
 into the graph normalization, is exact.  The original-graph branch
-contributes gradients too unless detach_original is set (or a precomputed
-readout is supplied), in which case it is held constant.  With beta == 0 the
-HSIC branch is never built or evaluated.
+contributes gradients too unless detach_original is set, in which case
+`plain_original_readout` computes it off the tape and it is held constant.
+With beta == 0 the HSIC branch is never built or evaluated.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .denoiser import CONFIDENCE_CLAMP, DELTA_CLAMP, DenoiserParams
+from . import backbone, denoiser, graph, hsic
+from .denoiser import DenoiserParams
 from .errors import ConfigError, DataError, NumericError
-from .graph import DEGREE_FLOOR, EdgeLayout
+from .graph import EdgeLayout
 
 # BPR margin clamp: softplus(40) ~ 4e-18, so wider margins change nothing
 MARGIN_CLAMP = 40.0
@@ -44,87 +46,18 @@ class LossBreakdown:
     reg_lambda: float
 
 
-def _breakdown(rec: float, ib: float, reg: float, beta: float,
-               reg_lambda: float) -> LossBreakdown:
-    total = (rec + reg_lambda * reg) + beta * ib
-    return LossBreakdown(rec, ib, reg, total, beta, reg_lambda)
-
-
-def bpr_loss(scores_pos, scores_neg) -> float:
-    """Mean -log sigmoid(margin) with margins clamped to +-MARGIN_CLAMP."""
-    p = np.asarray(scores_pos, dtype=np.float64)
-    q = np.asarray(scores_neg, dtype=np.float64)
-    if p.ndim != 1 or p.shape != q.shape or p.size == 0:
-        raise DataError(
-            f"score arrays must be equal-length nonempty vectors, got {p.shape} and {q.shape}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise NumericError("non-finite scores passed to bpr_loss")
-    margins = np.clip(p - q, -MARGIN_CLAMP, MARGIN_CLAMP)
-    return float(np.mean(np.logaddexp(0.0, -margins)))
-
-
-def l2_penalty(embeddings) -> float:
-    E = np.asarray(embeddings, dtype=np.float64)
-    return float(np.sum(E * E))
-
-
-def total_loss(scores_pos, scores_neg, hsic_value, embeddings,
-               beta: float, reg_lambda: float) -> LossBreakdown:
-    if beta < 0.0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    if reg_lambda < 0.0:
-        raise ConfigError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    rec = bpr_loss(scores_pos, scores_neg)
-    reg = l2_penalty(embeddings)
-    ib = 0.0 if hsic_value is None else float(hsic_value)
-    return _breakdown(rec, ib, reg, beta, reg_lambda)
-
-
-# -- recorded training pipeline ---------------------------------------------
-
-
-def _tape_readout(values, layout: EdgeLayout, E0, layers: int):
-    shape = (layout.node_count, layout.node_count)
-    acc, state = E0, E0
-    for _ in range(layers):
-        state = ad.spmm(values, layout.rows, layout.cols, shape, state)
-        acc = acc + state
-    return acc / float(layers + 1)
-
-
-def _tape_normalize_rows(X):
-    sq = (X * X).sum(axis=1, keepdims=True)
-    return X * (sq + 1e-24) ** -0.5
-
-
-def _tape_rbf(X, n: int, sigma_sq: float):
-    sq = (X * X).sum(axis=1, keepdims=True)
-    d2 = sq + sq.T - (X @ X.T) * 2.0
-    d2 = ad.maximum(d2, 0.0)
-    d2 = d2 * (np.ones((n, n)) - np.eye(n))  # exact zero diagonal -> K_ii = 1
-    return ad.exp(-d2 / (2.0 * sigma_sq))
-
-
-def _tape_center(K):
-    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
-
-
 def plain_original_readout(embeddings: np.ndarray, layout: EdgeLayout,
                            layers: int) -> np.ndarray:
     """Readout on the all-ones social graph without touching the tape."""
     csr = layout.original_normalized_csr()
-    acc = state = np.asarray(embeddings, dtype=np.float64)
-    for _ in range(layers):
-        state = csr @ state
-        acc = acc + state
-    return acc / float(layers + 1)
+    E = np.asarray(embeddings, dtype=np.float64)
+    return backbone.layer_readout(E, layers, lambda state: csr @ state)[1]
 
 
 def gradients(embeddings: np.ndarray, params: DenoiserParams,
               layout: EdgeLayout, batch, deltas, *,
               layers: int, beta: float, reg_lambda: float, sigma_sq: float,
               detach_original: bool = False, kernel_normalize: bool = True,
-              original_readout: Optional[np.ndarray] = None,
               with_grads: bool = True
               ) -> Tuple[LossBreakdown, Optional[Dict[str, np.ndarray]]]:
     """Run the recorded training pipeline for one batch.
@@ -158,28 +91,16 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     W2 = ad.Tensor(params.layer2_weight, requires_grad=with_grads)
     b2 = ad.Tensor(params.layer2_bias, requires_grad=with_grads)
 
-    # social confidences and relaxed weights
+    # social confidences and relaxed weights, then the denoised graph
     if layout.social_count:
-        ea = ad.gather(E0, layout.social_a)
-        eb = ad.gather(E0, layout.social_b)
-        x = ad.concat([ea, eb, ea * eb], axis=1)
-        h = ad.tanh(x @ W1 + b1)
-        logits = (h @ W2 + b2).reshape(-1)
-        conf = ad.sigmoid(logits)
-        wc = ad.clip(conf, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
-        dl = np.clip(deltas, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
-        relax = ad.sigmoid((wc + np.log(dl / (1.0 - dl))) / params.temperature)
-        rho = ad.minimum(relax + params.observation_bias, 1.0)
-        ones = ad.constant(np.ones(layout.interaction_count))
-        values = ad.concat([rho, rho, ones, ones], axis=0)
+        conf = denoiser.confidences(E0, (W1, b1, W2, b2),
+                                    layout.social_a, layout.social_b)
+        rho = denoiser.relax_sample(conf, deltas, params.temperature,
+                                    params.observation_bias)
     else:
-        values = ad.constant(np.ones(2 * layout.interaction_count))
-
-    # degree renormalization of the denoised graph
-    deg = ad.scatter_sum(values, layout.rows, layout.node_count)
-    dinv = ad.maximum(deg, DEGREE_FLOOR) ** -0.5
-    nvals = (values * ad.gather(dinv, layout.rows)) * ad.gather(dinv, layout.cols)
-    readout = _tape_readout(nvals, layout, E0, layers)
+        rho = ad.constant(np.empty(0))
+    _, nvals = graph.renormalize(layout.values(rho), layout)
+    _, readout = backbone.layer_readout(E0, layers, backbone.aggregation(nvals, layout))
 
     # ranking loss on the batch
     u = ad.gather(readout, users)
@@ -191,33 +112,22 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     reg = (E0 * E0).sum()
 
     if beta > 0.0:
-        batch_users = np.unique(users)
-        if batch_users.size < 2:
-            raise DataError("HSIC needs at least 2 distinct users in the batch")
-        if original_readout is not None:
-            orig = ad.constant(np.asarray(original_readout, dtype=np.float64))
-        elif detach_original:
+        if detach_original:
             orig = ad.constant(plain_original_readout(embeddings, layout, layers))
         else:
-            ovals = ad.constant(layout.original_normalized_values())
-            orig = _tape_readout(ovals, layout, E0, layers)
-        Xr = ad.gather(readout, batch_users)
-        Yr = ad.gather(orig, batch_users)
-        if kernel_normalize:
-            Xr = _tape_normalize_rows(Xr)
-            Yr = _tape_normalize_rows(Yr)
-        n = batch_users.size
-        Kx = _tape_rbf(Xr, n, sigma_sq)
-        Ky = _tape_rbf(Yr, n, sigma_sq)
-        ib = (_tape_center(Kx) * _tape_center(Ky)).sum() / float((n - 1) ** 2)
+            step = backbone.aggregation(layout.original_values(), layout)
+            _, orig = backbone.layer_readout(E0, layers, step)
+        ib = hsic.bottleneck(readout, orig, users, sigma_sq, kernel_normalize)
         total = (rec + reg * reg_lambda) + ib * beta
         ib_value = float(ib.data)
     else:
         total = rec + reg * reg_lambda
         ib_value = 0.0
 
-    breakdown = _breakdown(float(rec.data), ib_value, float(reg.data),
-                           beta, reg_lambda)
+    rec_value, reg_value = float(rec.data), float(reg.data)
+    breakdown = LossBreakdown(rec_value, ib_value, reg_value,
+                              (rec_value + reg_lambda * reg_value) + beta * ib_value,
+                              beta, reg_lambda)
     if not np.isfinite(breakdown.total):
         raise NumericError(
             f"non-finite training loss: rec={breakdown.rec_loss} "

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gbsr.backbone import (MAX_LAYERS, EmbeddingTable, forward, score,
-                           score_all_items)
+from gbsr.backbone import MAX_LAYERS, EmbeddingTable, forward, score_all_items
 from gbsr.data import Dataset
 from gbsr.errors import ConfigError, DataError
 from gbsr.graph import build_adjacency
+
+
+def normalized_matrix(adj):
+    n = adj.node_count
+    return sp.csr_matrix((adj.normalized_weights, (adj.rows, adj.cols)),
+                         shape=(n, n))
 
 
 class TestHandCases:
@@ -40,7 +46,7 @@ class TestHandCases:
         assert len(reps.layers) == 4
         assert reps.layers[0] is not None
         np.testing.assert_array_equal(reps.layers[0], E0)
-        A = adj.normalized_csr()
+        A = normalized_matrix(adj)
         want = E0.copy()
         for k in range(1, 4):
             want = A @ want
@@ -59,7 +65,7 @@ class TestAgainstDenseOracle:
             ds = Dataset(M, N, inter, [], soc)
             w = rng.uniform(size=len(soc))
             adj = build_adjacency(ds, w)
-            A = adj.normalized_csr().toarray()
+            A = normalized_matrix(adj).toarray()
             E0 = rng.standard_normal((M + N, 3))
             L = int(rng.integers(1, MAX_LAYERS + 1))
             reps = forward(EmbeddingTable(E0, L), adj)
@@ -80,26 +86,24 @@ class TestScoring:
 
     def test_score_is_readout_inner_product(self, reps):
         for u in range(3):
+            row = score_all_items(reps, u)
             for i in range(3):
-                want = float(np.dot(reps.readout[u], reps.readout[3 + i]))
-                assert score(reps, u, i) == want
+                want = sum(float(a) * float(b) for a, b in
+                           zip(reps.readout[u], reps.readout[3 + i]))
+                assert row[i] == pytest.approx(want, abs=1e-15)
 
     def test_score_all_items_matches_loop(self, reps):
         for u in range(3):
             row = score_all_items(reps, u)
             assert row.shape == (3,)
             for i in range(3):
-                assert row[i] == pytest.approx(score(reps, u, i), abs=1e-15)
+                assert row[i] == pytest.approx(
+                    float(np.dot(reps.readout[u], reps.readout[3 + i])), abs=1e-15)
 
     def test_range_checks(self, reps):
-        with pytest.raises(DataError):
-            score(reps, 3, 0)
-        with pytest.raises(DataError):
-            score(reps, 0, 3)
-        with pytest.raises(DataError):
-            score(reps, -1, 0)
-        with pytest.raises(DataError):
-            score_all_items(reps, 17)
+        for user in (3, -1, 17):
+            with pytest.raises(DataError):
+                score_all_items(reps, user)
 
 
 class TestValidation:

@@ -1,9 +1,6 @@
 """End-to-end command-line runs: files produced, precedence, exit codes."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -223,6 +220,25 @@ class TestExportConfidence:
         assert float(stats["max"]) == max(ws)
         assert int(stats["edges"]) == n_social
 
+    @pytest.mark.parametrize("command", ["export-confidence", "evaluate"])
+    def test_checkpoint_from_other_dataset_is_exit_2(self, train_dir, tmp_path,
+                                                      command, capsys):
+        # a smaller synthetic set: its user count alone would pass denoise
+        other = tmp_path / "other"
+        flags = SYNTH_FLAGS[:]
+        flags[flags.index("--users-per-cluster") + 1] = "10"
+        assert main(["synth", "--out", str(other), "--seed", "1"] + flags) == 0
+        out = tmp_path / "out"
+        code = main([command,
+                     "--checkpoint", str(train_dir / "checkpoint_seed0.bin"),
+                     "--interactions", str(other / "interactions.tsv"),
+                     "--social", str(other / "social.tsv"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "embedding rows" in capsys.readouterr().err
+        assert not (out / "confidence.csv").exists()
+        assert not (out / "metrics.json").exists()
+
 
 class TestErrors:
     def test_missing_data_file_is_exit_2(self, tmp_path):
@@ -273,25 +289,3 @@ class TestErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seeds"] == [5]
         assert manifest["effective_config"]["seed"] == 5
-
-
-class TestThreadCap:
-    def test_env_var_seeds_blas_caps(self):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS",)}
-        env["GBSR_THREADS"] = "3"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import gbsr.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "3"
-
-    def test_existing_setting_wins(self):
-        env = dict(os.environ)
-        env["GBSR_THREADS"] = "3"
-        env["OMP_NUM_THREADS"] = "7"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import gbsr.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "7"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gbsr.data import (NEGATIVE_RETRY_BOUND, Dataset, SyntheticSpec,
-                       TrainingTriple, generate_synthetic, interactions_text,
-                       load_dataset, noise_labels_text, sample_batch,
-                       sample_batch_arrays, social_text)
+                       generate_synthetic, interactions_text, load_dataset,
+                       noise_labels_text, sample_batch_arrays, social_text)
 from gbsr.errors import DataError, ParseError
 
 
@@ -173,16 +172,18 @@ class TestDatasetValidation:
 class TestSampling:
     def test_triples_avoid_train_items(self, tiny_dataset):
         rng = np.random.default_rng(0)
+        train = set(map(tuple, tiny_dataset.train_pairs.tolist()))
         for _ in range(50):
-            for t in sample_batch(tiny_dataset, 16, rng):
-                assert isinstance(t, TrainingTriple)
-                assert not tiny_dataset.in_train(t.user, t.negative)
-                assert tiny_dataset.in_train(t.user, t.positive)
+            users, pos, neg = sample_batch_arrays(tiny_dataset, 16, rng)
+            for u, p, n in zip(users.tolist(), pos.tolist(), neg.tolist()):
+                assert (u, n) not in train
+                assert (u, p) in train
 
     def test_fixed_seed_reproduces_batches(self, tiny_dataset):
-        a = sample_batch(tiny_dataset, 8, np.random.default_rng(4))
-        b = sample_batch(tiny_dataset, 8, np.random.default_rng(4))
-        assert a == b
+        a = sample_batch_arrays(tiny_dataset, 8, np.random.default_rng(4))
+        b = sample_batch_arrays(tiny_dataset, 8, np.random.default_rng(4))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_positives_uniform_over_train(self, tiny_dataset):
         rng = np.random.default_rng(1)
@@ -193,16 +194,16 @@ class TestSampling:
     def test_user_with_every_item_errors(self):
         ds = Dataset(1, 2, [(0, 0), (0, 1)], [], [])
         with pytest.raises(DataError, match=str(NEGATIVE_RETRY_BOUND)):
-            sample_batch(ds, 4, np.random.default_rng(0))
+            sample_batch_arrays(ds, 4, np.random.default_rng(0))
 
     def test_empty_train_errors(self):
         ds = Dataset(2, 2, [], [], [(0, 1)])
         with pytest.raises(DataError):
-            sample_batch(ds, 4, np.random.default_rng(0))
+            sample_batch_arrays(ds, 4, np.random.default_rng(0))
 
     def test_bad_batch_size(self, tiny_dataset):
         with pytest.raises(DataError):
-            sample_batch(tiny_dataset, 0, np.random.default_rng(0))
+            sample_batch_arrays(tiny_dataset, 0, np.random.default_rng(0))
 
 
 class TestSynthetic:

@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+from gbsr import autodiff as ad
 from gbsr.data import Dataset
 from gbsr.denoiser import (CONFIDENCE_CLAMP, DenoiserParams, EdgeConfidenceMap,
-                           confidence_batch, confidence_csv, denoise,
-                           edge_confidence, export_confidence, relax_sample)
+                           confidence_csv, confidences, denoise,
+                           export_confidence, relax_sample)
 from gbsr.errors import ConfigError, DataError
 
 
@@ -17,10 +18,27 @@ def params():
     return DenoiserParams.init(4, np.random.default_rng(0), scale=0.1)
 
 
+def head_of(params):
+    return tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
+                                         params.layer2_weight, params.layer2_bias))
+
+
+def pair_confidences(params, ea, eb):
+    """Confidences of the stacked pairs (ea[k], eb[k]) on constants."""
+    n = ea.shape[0]
+    emb = ad.constant(np.concatenate([ea, eb]))
+    return confidences(emb, head_of(params), np.arange(n), n + np.arange(n)).data
+
+
+def relax(w, delta, temperature):
+    """The relaxed sample alone: no observation floor."""
+    return relax_sample(ad.constant(w), delta, temperature, 0.0).data
+
+
 class TestConfidenceHead:
     def test_output_in_open_interval(self, params):
         rng = np.random.default_rng(1)
-        w = confidence_batch(params, rng.standard_normal((64, 4)),
+        w = pair_confidences(params, rng.standard_normal((64, 4)),
                              rng.standard_normal((64, 4)))
         assert w.shape == (64,)
         assert (w > 0.0).all() and (w < 1.0).all()
@@ -29,9 +47,9 @@ class TestConfidenceHead:
         rng = np.random.default_rng(2)
         ea = rng.standard_normal((5, 4))
         eb = rng.standard_normal((5, 4))
-        batch = confidence_batch(params, ea, eb)
+        batch = pair_confidences(params, ea, eb)
         for k in range(5):
-            assert edge_confidence(params, ea[k], eb[k]) == batch[k]
+            assert pair_confidences(params, ea[k:k + 1], eb[k:k + 1])[0] == batch[k]
 
     def test_manual_forward(self, params):
         # one pair pushed through the two layers by hand
@@ -40,16 +58,18 @@ class TestConfidenceHead:
         x = np.concatenate([ea, eb, ea * eb])
         h = np.tanh(x @ params.layer1_weight + params.layer1_bias)
         want = expit(float(h @ params.layer2_weight[:, 0]) + float(params.layer2_bias[0]))
-        assert edge_confidence(params, ea, eb) == pytest.approx(want, abs=1e-15)
+        got = pair_confidences(params, ea[None, :], eb[None, :])[0]
+        assert got == pytest.approx(want, abs=1e-15)
 
     def test_dim_mismatch_rejected(self, params):
-        with pytest.raises(ConfigError):
-            edge_confidence(params, np.zeros(3), np.zeros(4))
+        ds = Dataset(2, 1, train=[(0, 0)], test=[], social=[(0, 1)])
+        with pytest.raises(ConfigError, match="dimension"):
+            denoise(params, np.zeros((3, 3)), ds)
 
     def test_zero_weights_give_half(self):
         p = DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)),
                            np.zeros(1))
-        assert edge_confidence(p, np.ones(4), np.ones(4)) == 0.5
+        assert pair_confidences(p, np.ones((1, 4)), np.ones((1, 4)))[0] == 0.5
 
 
 class TestParams:
@@ -91,37 +111,37 @@ class TestParams:
 class TestRelaxation:
     def test_monotone_in_confidence(self):
         w = np.linspace(0.0, 1.0, 51)
-        r = relax_sample(w, 0.3, 0.2)
+        r = relax(w, 0.3, 0.2)
         assert (np.diff(r) > 0).all()
 
     def test_monotone_in_noise(self):
         d = np.linspace(0.01, 0.99, 51)
-        r = relax_sample(0.7, d, 0.2)
+        r = relax(0.7, d, 0.2)
         assert (np.diff(r) > 0).all()
 
     def test_high_confidence_zero_bias(self):
         # w = 1, delta = 0.5: logit(0.5) = 0, so the relaxed weight is
         # expit(clamped(1)/0.2) = expit(5) up to the 1e-6 clamp
-        r = float(relax_sample(1.0, 0.5, 0.2))
+        r = float(relax(1.0, 0.5, 0.2))
         assert r == pytest.approx(0.9933071490757153, abs=1e-6)
 
     def test_low_confidence_stays_near_half(self):
-        r = float(relax_sample(0.0, 0.5, 0.2))
+        r = float(relax(0.0, 0.5, 0.2))
         assert r == pytest.approx(0.5, abs=1e-4)
         assert r > 0.5  # clamp keeps the logit strictly positive
 
     def test_temperature_sharpens(self):
-        soft = float(relax_sample(0.9, 0.5, 1.0))
-        sharp = float(relax_sample(0.9, 0.5, 0.05))
+        soft = float(relax(0.9, 0.5, 1.0))
+        sharp = float(relax(0.9, 0.5, 0.05))
         assert sharp > soft
 
     def test_extreme_noise_saturates(self):
-        assert float(relax_sample(0.5, 1e-300, 0.2)) < 1e-10
-        assert float(relax_sample(0.5, 1.0, 0.2)) > 1.0 - 1e-10
+        assert float(relax(0.5, 1e-300, 0.2)) < 1e-10
+        assert float(relax(0.5, 1.0, 0.2)) > 1.0 - 1e-10
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigError):
-            relax_sample(0.5, 0.5, 0.0)
+            relax(0.5, 0.5, 0.0)
 
     def test_mean_over_noise_matches_quadrature(self):
         # MC average over uniform delta against an adaptive quadrature oracle
@@ -131,7 +151,7 @@ class TestRelaxation:
                 lambda d: expit((np.log(d / (1.0 - d)) + wc) / t), 0.0, 1.0)
             assert err < 1e-6
             rng = np.random.default_rng(17)
-            got = float(np.mean(relax_sample(w, rng.uniform(size=200_000), t)))
+            got = float(np.mean(relax(w, rng.uniform(size=200_000), t)))
             assert got == pytest.approx(want, abs=5e-3)
 
 
@@ -147,9 +167,9 @@ class TestDenoise:
     def test_deterministic_composition(self):
         ds, params, emb = self._setup(epsilon=0.1)
         cmap = denoise(params, emb, ds, mode="deterministic")
-        w = confidence_batch(params, emb[ds.social_pairs[:, 0]],
+        w = pair_confidences(params, emb[ds.social_pairs[:, 0]],
                              emb[ds.social_pairs[:, 1]])
-        rho = np.minimum(relax_sample(w, 0.5, params.temperature) + 0.1, 1.0)
+        rho = np.minimum(relax(w, 0.5, params.temperature) + 0.1, 1.0)
         np.testing.assert_array_equal(cmap.confidence, w)
         np.testing.assert_array_equal(cmap.relaxed, rho)
 
@@ -158,7 +178,7 @@ class TestDenoise:
         cmap = denoise(params, emb, ds, mode="stochastic",
                        rng=np.random.default_rng(5))
         delta = np.random.default_rng(5).uniform(size=3)
-        want = np.minimum(relax_sample(cmap.confidence, delta,
+        want = np.minimum(relax(cmap.confidence, delta,
                                        params.temperature), 1.0)
         np.testing.assert_array_equal(cmap.relaxed, want)
 
@@ -189,19 +209,6 @@ class TestDenoise:
 
 
 class TestMap:
-    def test_lookup_unordered(self):
-        cmap = EdgeConfidenceMap(np.array([[0, 2], [1, 2]]),
-                                 np.array([0.3, 0.8]), np.array([0.4, 0.9]))
-        assert cmap.lookup(2, 0) == (0.3, 0.4)
-        assert cmap.lookup(1, 2) == (0.8, 0.9)
-        assert len(cmap) == 2
-
-    def test_lookup_unknown(self):
-        cmap = EdgeConfidenceMap(np.array([[0, 2]]), np.array([0.3]),
-                                 np.array([0.4]))
-        with pytest.raises(DataError):
-            cmap.lookup(0, 1)
-
     def test_misaligned_arrays(self):
         with pytest.raises(DataError):
             EdgeConfidenceMap(np.array([[0, 2]]), np.array([0.3, 0.4]),

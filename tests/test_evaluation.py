@@ -1,5 +1,6 @@
 """Full-ranking metrics: hand cases, tie rules, and a sort-based oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,7 @@ import pytest
 from gbsr.backbone import NodeRepresentations
 from gbsr.data import Dataset
 from gbsr.errors import DataError
-from gbsr.evaluation import (MetricsReport, RunMetrics, evaluate,
-                             multi_seed_report, rank_user)
-from gbsr.trainer import TrainConfig
+from gbsr.evaluation import MetricsReport, RunMetrics, evaluate, rank_user
 
 
 def reps_from(readout, user_count):
@@ -158,8 +157,6 @@ class TestReportShape:
         assert d["evaluated_user_count"] == 7
         assert d["per_seed"][0]["seed"] == 3
         assert d["per_seed"][0]["recall"]["10"] == 0.25
-        import json
-
         json.dumps(d)  # must be serializable as-is
 
     def test_json_dict_omits_empty_runs(self):
@@ -168,20 +165,40 @@ class TestReportShape:
 
 
 class TestMultiSeed:
-    def test_means_and_per_run(self, small_synthetic):
-        ds, _ = small_synthetic
-        cfg = TrainConfig(embedding_dim=8, layers=2, learning_rate=0.05,
-                          batch_size=64, epochs=2, beta=0.5, cutoffs=(5, 10))
-        report = multi_seed_report(cfg, ds, seeds=[0, 1])
-        assert [r.seed for r in report.per_run] == [0, 1]
-        for n in (5, 10):
-            want = (report.per_run[0].recall[n] + report.per_run[1].recall[n]) / 2
-            assert report.recall[n] == pytest.approx(want, abs=1e-15)
-        # each per-run row must match an independent single-seed fit
-        solo = multi_seed_report(cfg, ds, seeds=[1])
-        assert solo.per_run[0].recall == report.per_run[1].recall
+    """Per-seed rows and their means, as `gbsr train --seed a,b` writes them."""
 
-    def test_empty_seeds_rejected(self, small_synthetic):
-        ds, _ = small_synthetic
-        with pytest.raises(DataError):
-            multi_seed_report(TrainConfig(), ds, seeds=[])
+    SYNTH = ["--clusters", "2", "--users-per-cluster", "12",
+             "--items-per-cluster", "10", "--interaction-rate", "0.4",
+             "--social-rate", "0.3", "--noise-fraction", "0.5"]
+    TRAIN = ["--dim", "8", "--layers", "2", "--lr", "0.05", "--batch-size", "64",
+             "--epochs", "2", "--beta", "0.5", "--cutoffs", "5,10"]
+
+    def _train(self, tmp_path, name, seeds):
+        from gbsr.cli import main
+
+        data = tmp_path / "data"
+        if not data.exists():
+            assert main(["synth", "--out", str(data), "--seed", "0"] + self.SYNTH) == 0
+        out = tmp_path / name
+        code = main(["train", "--interactions", str(data / "interactions.tsv"),
+                     "--social", str(data / "social.tsv"), "--out", str(out),
+                     "--seed", seeds] + self.TRAIN)
+        assert code == 0
+        return json.loads((out / "metrics.json").read_text())
+
+    def test_means_and_per_run(self, tmp_path):
+        report = self._train(tmp_path, "both", "0,1")
+        runs = report["per_seed"]
+        assert [r["seed"] for r in runs] == [0, 1]
+        for n in ("5", "10"):
+            want = (runs[0]["recall"][n] + runs[1]["recall"][n]) / 2
+            assert report["cutoffs"][n]["recall"] == pytest.approx(want, abs=1e-15)
+        # a per-run row must match an independent single-seed fit on the same split
+        solo = self._train(tmp_path, "solo", "0")
+        assert solo["per_seed"][0] == runs[0]
+
+    def test_empty_seeds_rejected(self, tmp_path):
+        from gbsr.cli import main
+
+        assert main(["train", "--interactions", "x", "--social", "y",
+                     "--out", str(tmp_path), "--seed", ""]) == 1

@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gbsr import autodiff as ad
+from gbsr.backbone import EmbeddingTable, aggregation, forward
 from gbsr.data import Dataset
 from gbsr.errors import DataError
 from gbsr.graph import (DEGREE_FLOOR, EdgeLayout, WeightedAdjacency,
-                        adjacency_csv, build_adjacency, layout_for, propagate)
+                        build_adjacency, layout_for)
 
 INV_SQRT2 = 0.7071067811865476
+
+
+def normalized_dense(adj):
+    """The normalized adjacency as a dense matrix, duplicates summed."""
+    n = adj.node_count
+    return sp.csr_matrix((adj.normalized_weights, (adj.rows, adj.cols)),
+                         shape=(n, n)).toarray()
+
+
+def propagate(adj, E):
+    """One aggregation step of the backbone on plain arrays."""
+    step = aggregation(ad.constant(adj.normalized_weights), adj.layout)
+    return step(ad.constant(E)).data
 
 
 def two_user_one_item():
@@ -35,7 +50,7 @@ class TestHandCase:
     def test_degrees_and_entries(self):
         adj = build_adjacency(two_user_one_item())
         assert adj.degrees.tolist() == [2.0, 1.0, 1.0]
-        dense = adj.normalized_csr().toarray()
+        dense = normalized_dense(adj)
         expect = np.array([[0.0, INV_SQRT2, INV_SQRT2],
                            [INV_SQRT2, 0.0, 0.0],
                            [INV_SQRT2, 0.0, 0.0]])
@@ -45,7 +60,7 @@ class TestHandCase:
         # killing the social tie turns user 0 <-> item into a degree-1/degree-1
         # bond with unit normalized weight; user 1 is isolated
         adj = build_adjacency(two_user_one_item(), np.array([0.0]))
-        dense = adj.normalized_csr().toarray()
+        dense = normalized_dense(adj)
         expect = np.zeros((3, 3))
         expect[0, 2] = expect[2, 0] = 1.0
         np.testing.assert_allclose(dense, expect, rtol=0, atol=1e-15)
@@ -54,7 +69,7 @@ class TestHandCase:
     def test_fractional_weight(self):
         adj = build_adjacency(two_user_one_item(), np.array([0.5]))
         ds = two_user_one_item()
-        np.testing.assert_allclose(adj.normalized_csr().toarray(),
+        np.testing.assert_allclose(normalized_dense(adj),
                                    dense_normalized(ds, [0.5]),
                                    rtol=0, atol=1e-15)
 
@@ -76,7 +91,7 @@ class TestLayout:
 
     def test_values_layout(self, tiny_dataset):
         lay = EdgeLayout(tiny_dataset)
-        v = lay.values(np.array([0.25, 0.75]))
+        v = lay.values(ad.constant(np.array([0.25, 0.75]))).data
         assert v.tolist() == [0.25, 0.75, 0.25, 0.75] + [1.0] * 8
 
     def test_layout_cached_per_dataset(self, tiny_dataset):
@@ -84,12 +99,12 @@ class TestLayout:
 
     def test_original_values_match_unit_weights(self, tiny_dataset):
         lay = layout_for(tiny_dataset)
-        ones = WeightedAdjacency(lay, lay.values(np.ones(lay.social_count)))
-        np.testing.assert_array_equal(lay.original_normalized_values(),
+        ones = WeightedAdjacency(lay, np.ones(lay.rows.size))
+        np.testing.assert_array_equal(lay.original_values().data,
                                       ones.normalized_weights)
         np.testing.assert_allclose(lay.original_normalized_csr().toarray(),
-                                   ones.normalized_csr().toarray(),
-                                   rtol=0, atol=0)
+                                   normalized_dense(ones), rtol=0, atol=0)
+        assert lay.original_normalized_csr() is lay.original_normalized_csr()
 
 
 class TestAgainstDenseOracle:
@@ -108,7 +123,7 @@ class TestAgainstDenseOracle:
             ds = Dataset(M, N, sorted(inter), [], sorted(soc))
             w = rng.uniform(0.0, 1.0, size=len(soc))
             adj = build_adjacency(ds, w)
-            np.testing.assert_allclose(adj.normalized_csr().toarray(),
+            np.testing.assert_allclose(normalized_dense(adj),
                                        dense_normalized(ds, w),
                                        rtol=0, atol=1e-12)
             E = rng.standard_normal((ds.node_count, 3))
@@ -135,7 +150,7 @@ class TestAgainstDenseOracle:
                           for _ in range(6)} - {(a, a) for a in range(M)})
             ds = Dataset(M, N, inter, [], soc)
             w = rng.uniform(size=len(soc))
-            A = build_adjacency(ds, w).normalized_csr().toarray()
+            A = normalized_dense(build_adjacency(ds, w))
             # (w*dinv[a])*dinv[b] vs (w*dinv[b])*dinv[a] differ only by
             # rounding in the multiply order
             np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-15)
@@ -171,19 +186,7 @@ class TestValidation:
     def test_propagate_row_mismatch(self, tiny_dataset):
         adj = build_adjacency(tiny_dataset)
         with pytest.raises(DataError):
-            propagate(adj, np.zeros((2, 3)))
-
-
-class TestCsvDump:
-    def test_header_and_row_count(self, tiny_dataset):
-        adj = build_adjacency(tiny_dataset, np.array([0.5, 1.0]))
-        text = adjacency_csv(adj)
-        lines = text.strip().split("\n")
-        assert lines[0] == "row,col,normalized_weight"
-        assert len(lines) == 1 + adj.rows.size
-        r, c, w = lines[1].split(",")
-        assert int(r) == adj.rows[0] and int(c) == adj.cols[0]
-        assert float(w) == adj.normalized_weights[0]
+            forward(EmbeddingTable(np.zeros((2, 3)), 1), adj)
 
 
 class TestFloor:
@@ -193,4 +196,4 @@ class TestFloor:
         ds = Dataset(2, 1, train=[(0, 0)], test=[], social=[(0, 1)])
         adj = build_adjacency(ds, np.array([0.0]))
         assert np.isfinite(adj.normalized_weights).all()
-        assert np.isfinite(adj.normalized_csr().toarray()).all()
+        assert np.isfinite(normalized_dense(adj)).all()

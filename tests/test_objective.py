@@ -1,21 +1,20 @@
 """Loss assembly and the recorded gradient pipeline.
 
 The gradient pipeline is checked two independent ways: central differences
-on every parameter block, and a value-level comparison against the plain
-(numpy-only) composition of the denoiser, graph, backbone, and kernel
-modules.  Keeping both routes intact is the point; do not fold one into
-the other.
+on every parameter block, and a value-level comparison against a dense numpy
+recomputation written in this file (dense adjacency, explicit centering
+matrix), which shares no code with the library's stage functions.
 """
 
 import numpy as np
 import pytest
 
-from gbsr import backbone, denoiser, graph, hsic, objective
+from gbsr import graph, hsic, objective
 from gbsr.data import Dataset
 from gbsr.denoiser import DenoiserParams
 from gbsr.errors import ConfigError, DataError, NumericError
-from gbsr.objective import (MARGIN_CLAMP, PARAM_BLOCKS, bpr_loss, gradients,
-                            l2_penalty, plain_original_readout, total_loss)
+from gbsr.objective import (MARGIN_CLAMP, PARAM_BLOCKS, gradients,
+                            plain_original_readout)
 
 from conftest import central_diff, rel_err
 
@@ -36,105 +35,149 @@ def make_instance(seed=0, M=4, N=3, d=4, social=((0, 1), (1, 2), (2, 3))):
     return ds, layout, E, params, (users, positives, negatives), deltas
 
 
+def margin_losses(x, y, **kwargs):
+    """Loss breakdown of a batch whose k-th margin is exactly x[k]^2 - x[k]*y[k].
+
+    User k's only train item is item k and item K + k is isolated; with one
+    layer and 1-d embeddings x on both ends of each bond and 2y on the
+    isolated items, the readouts are x (user and positive) and y (negative).
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    K = x.size
+    ds = Dataset(K, 2 * K, [(k, k) for k in range(K)], [], [])
+    E = np.concatenate([x, x, 2.0 * y])[:, None]
+    params = DenoiserParams.init(1, np.random.default_rng(0))
+    batch = (np.arange(K), np.arange(K), K + np.arange(K))
+    kwargs = {"layers": 1, "beta": 0.0, "reg_lambda": 0.0, "sigma_sq": 1.0,
+              **kwargs}
+    return gradients(E, params, graph.layout_for(ds), batch, np.zeros(0), **kwargs)
+
+
+def dense_losses(ds, E, params, batch, deltas, layers, sigma_sq, normalize=True):
+    """rec, ib and reg of one batch with dense numpy and an explicit H."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    M, n = ds.user_count, ds.node_count
+    a, b = ds.social_pairs[:, 0], ds.social_pairs[:, 1]
+    h = np.tanh(np.hstack([E[a], E[b], E[a] * E[b]]) @ params.layer1_weight
+                + params.layer1_bias)
+    conf = np.clip(sigmoid(h @ params.layer2_weight[:, 0] + params.layer2_bias[0]),
+                   1e-6, 1.0 - 1e-6)
+    d = np.clip(deltas, 1e-12, 1.0 - 1e-12)
+    rho = np.minimum(sigmoid((conf + np.log(d / (1.0 - d))) / params.temperature)
+                     + params.observation_bias, 1.0)
+
+    def readout(social_weights):
+        A = np.zeros((n, n))
+        A[a, b] = A[b, a] = social_weights
+        u, i = ds.train_pairs[:, 0], M + ds.train_pairs[:, 1]
+        A[u, i] = A[i, u] = 1.0
+        dinv = np.maximum(A.sum(axis=1), 1e-12) ** -0.5
+        A = dinv[:, None] * A * dinv[None, :]
+        states = [E]
+        for _ in range(layers):
+            states.append(A @ states[-1])
+        return sum(states) / (layers + 1)
+
+    def kernel(Z):
+        if normalize:
+            Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+        diff = Z[:, None, :] - Z[None, :, :]
+        return np.exp(-(diff ** 2).sum(axis=2) / (2.0 * sigma_sq))
+
+    users, pos, neg = batch
+    R, R0 = readout(rho), readout(np.ones(len(a)))
+    margins = (R[users] * R[M + pos]).sum(axis=1) - (R[users] * R[M + neg]).sum(axis=1)
+    rec = float(np.mean(np.log1p(np.exp(-margins))))
+    distinct = np.unique(users)
+    k = distinct.size
+    H = np.eye(k) - np.full((k, k), 1.0 / k)
+    ib = float(np.trace(kernel(R[distinct]) @ H @ kernel(R0[distinct]) @ H)) / (k - 1) ** 2
+    return rec, ib, float((E * E).sum())
+
+
 class TestBprLoss:
     def test_unit_margin(self):
-        assert bpr_loss([1.0], [0.0]) == 0.31326168751822286
+        assert margin_losses([1.0], [0.0])[0].rec_loss == 0.31326168751822286
 
     def test_zero_margin_is_log_two(self):
-        assert bpr_loss([2.5], [2.5]) == 0.6931471805599453
+        assert margin_losses([2.5], [2.5])[0].rec_loss == 0.6931471805599453
 
     def test_mean_reduction(self):
-        got = bpr_loss([1.0, 3.0], [0.0, 3.0])
+        # margins 1 and 0
+        got = margin_losses([1.0, 3.0], [0.0, 3.0])[0].rec_loss
         assert got == 0.5032044340390841
 
     def test_wide_margin_clamps(self):
-        assert bpr_loss([1e6], [0.0]) == pytest.approx(0.0, abs=1e-15)
-        assert bpr_loss([0.0], [1e6]) == pytest.approx(MARGIN_CLAMP, abs=1e-12)
+        br, grads = margin_losses([1.0], [-1e6])
+        assert br.rec_loss == pytest.approx(0.0, abs=1e-15)
+        br, grads = margin_losses([1.0], [1e6])
+        assert br.rec_loss == pytest.approx(MARGIN_CLAMP, abs=1e-12)
+        # a binding clamp passes no ranking gradient back
+        np.testing.assert_array_equal(grads["embeddings"], 0.0)
 
     def test_shape_validation(self):
-        with pytest.raises(DataError):
-            bpr_loss([], [])
-        with pytest.raises(DataError):
-            bpr_loss([1.0, 2.0], [1.0])
-        with pytest.raises(DataError):
-            bpr_loss(np.zeros((2, 2)), np.zeros((2, 2)))
+        ds, layout, E, params, _, deltas = make_instance()
+        kwargs = dict(layers=2, beta=0.0, reg_lambda=0.0, sigma_sq=1.0)
+        for bad in ((np.array([0, 1]), np.array([0, 1]), np.array([1])),
+                    (np.zeros((2, 2), dtype=int),) * 3):
+            with pytest.raises(DataError, match="equal-length"):
+                gradients(E, params, layout, bad, deltas, **kwargs)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_scores(self):
         with pytest.raises(NumericError):
-            bpr_loss([np.nan], [0.0])
+            margin_losses([np.nan], [0.0])
 
 
 class TestTotalLoss:
     def test_grouping_identity(self):
-        rng = np.random.default_rng(0)
-        p, q = rng.standard_normal(6), rng.standard_normal(6)
-        E = rng.standard_normal((5, 3))
-        br = total_loss(p, q, 0.37, E, beta=2.5, reg_lambda=0.01)
-        assert br.rec_loss == bpr_loss(p, q)
-        assert br.reg_loss == l2_penalty(E)
-        assert br.ib_loss == 0.37
-        assert br.total == (br.rec_loss + 0.01 * br.reg_loss) + 2.5 * 0.37
+        ds, layout, E, params, batch, deltas = make_instance(seed=1)
+        br, _ = gradients(E, params, layout, batch, deltas, layers=2,
+                          beta=2.5, reg_lambda=0.01, sigma_sq=1.0,
+                          with_grads=False)
+        assert br.reg_loss == float((E * E).sum())
+        assert br.ib_loss > 0.0
+        assert br.total == (br.rec_loss + 0.01 * br.reg_loss) + 2.5 * br.ib_loss
+        assert (br.beta, br.reg_lambda) == (2.5, 0.01)
 
     def test_none_bottleneck_means_zero(self):
-        br = total_loss([1.0], [0.0], None, np.zeros((2, 2)), 1.0, 0.1)
+        br, _ = margin_losses([1.0], [0.0], beta=0.0, reg_lambda=0.0)
         assert br.ib_loss == 0.0 and br.total == br.rec_loss
 
     def test_l2_is_sum_of_squares(self):
+        ds = Dataset(1, 1, [(0, 0)], [], [])
         E = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert l2_penalty(E) == 30.0
+        params = DenoiserParams.init(2, np.random.default_rng(0))
+        batch = (np.array([0]), np.array([0]), np.array([0]))
+        br, _ = gradients(E, params, graph.layout_for(ds), batch, np.zeros(0),
+                          layers=1, beta=0.0, reg_lambda=0.5, sigma_sq=1.0)
+        assert br.reg_loss == 30.0
 
     def test_negative_knobs_rejected(self):
-        with pytest.raises(ConfigError):
-            total_loss([1.0], [0.0], 0.0, np.zeros((1, 1)), -1.0, 0.0)
-        with pytest.raises(ConfigError):
-            total_loss([1.0], [0.0], 0.0, np.zeros((1, 1)), 0.0, -1.0)
+        ds, layout, E, params, batch, deltas = make_instance()
+        for knobs in (dict(beta=-1.0, reg_lambda=0.0), dict(beta=0.0, reg_lambda=-1.0)):
+            with pytest.raises(ConfigError):
+                gradients(E, params, layout, batch, deltas, layers=2,
+                          sigma_sq=1.0, **knobs)
 
 
 class TestDualRoute:
     def test_tape_matches_plain_composition(self):
-        """Same batch through the tape and through the separate numpy
-        modules; every reported component must agree to 1e-12."""
+        """Same batch through the tape and through dense_losses; every
+        reported component must agree to 1e-12."""
         for seed in range(4):
             ds, layout, E, params, batch, deltas = make_instance(seed=seed)
             br, _ = gradients(E, params, layout, batch, deltas, layers=2,
                               beta=1.7, reg_lambda=0.02, sigma_sq=0.8,
                               with_grads=False)
+            rec, ib, reg = dense_losses(ds, E, params, batch, deltas, 2, 0.8)
 
-            w = denoiser.confidence_batch(params, E[layout.social_a],
-                                          E[layout.social_b])
-            rho = np.minimum(denoiser.relax_sample(w, deltas, params.temperature)
-                             + params.observation_bias, 1.0)
-            adj = graph.build_adjacency(ds, rho)
-            reps = backbone.forward(backbone.EmbeddingTable(E, 2), adj)
-            users, positives, negatives = batch
-            pos = np.einsum("bd,bd->b", reps.readout[users],
-                            reps.readout[ds.user_count + positives])
-            neg = np.einsum("bd,bd->b", reps.readout[users],
-                            reps.readout[ds.user_count + negatives])
-            orig = plain_original_readout(E, layout, 2)
-            ib = hsic.bottleneck_loss(reps.readout[:ds.user_count],
-                                      orig[:ds.user_count],
-                                      users, 0.8, normalize=True)
-            want = total_loss(pos, neg, ib, E, beta=1.7, reg_lambda=0.02)
-
-            assert abs(br.rec_loss - want.rec_loss) < 1e-12
-            assert abs(br.ib_loss - want.ib_loss) < 1e-12
-            assert abs(br.reg_loss - want.reg_loss) < 1e-12
-            assert abs(br.total - want.total) < 1e-12
-
-    def test_routes_stay_independent(self):
-        # the plain route must not secretly call the tape
-        ds, layout, E, params, batch, deltas = make_instance()
-        import gbsr.autodiff as ad
-
-        w = denoiser.confidence_batch(params, E[layout.social_a],
-                                      E[layout.social_b])
-        assert not isinstance(w, ad.Tensor)
-        rho = np.minimum(denoiser.relax_sample(w, deltas, params.temperature)
-                         + params.observation_bias, 1.0)
-        reps = backbone.forward(
-            backbone.EmbeddingTable(E, 2), graph.build_adjacency(ds, rho))
-        assert isinstance(reps.readout, np.ndarray)
+            assert abs(br.rec_loss - rec) < 1e-12
+            assert abs(br.ib_loss - ib) < 1e-12
+            assert abs(br.reg_loss - reg) < 1e-12
+            assert abs(br.total - ((rec + 0.02 * reg) + 1.7 * ib)) < 1e-12
 
 
 class TestGradients:
@@ -181,14 +224,14 @@ class TestGradients:
         def boom(*a, **k):
             raise AssertionError("kernel branch evaluated with beta == 0")
 
-        monkeypatch.setattr(objective, "_tape_rbf", boom)
+        monkeypatch.setattr(hsic, "rbf", boom)
         ds, layout, E, params, batch, deltas = make_instance()
         br, grads = gradients(E, params, layout, batch, deltas, layers=2,
                               beta=0.0, reg_lambda=0.01, sigma_sq=1.0)
         assert br.ib_loss == 0.0
         assert all(np.isfinite(g).all() for g in grads.values())
 
-    def test_detach_original_freezes_that_branch(self):
+    def test_detach_original_freezes_that_branch(self, monkeypatch):
         ds, layout, E, params, batch, deltas = make_instance(seed=2)
         kwargs = dict(layers=2, beta=1.3, reg_lambda=0.01, sigma_sq=1.0)
         br_d, g_d = gradients(E, params, layout, batch, deltas,
@@ -203,25 +246,34 @@ class TestGradients:
         # detached gradients equal central differences of the function with
         # the original readout pinned at its baseline value
         orig = plain_original_readout(E, layout, 2)
+        monkeypatch.setattr(objective, "plain_original_readout",
+                            lambda *args: orig)
 
         def f():
             br, _ = gradients(E, params, layout, batch, deltas,
-                              original_readout=orig, with_grads=False,
+                              detach_original=True, with_grads=False,
                               **kwargs)
             return br.total
 
         fd = central_diff(f, E, h=1e-6)
         assert float(rel_err(fd, g_d["embeddings"]).max()) < 1e-4
 
-    def test_override_matches_detach_value(self):
+    def test_override_matches_detach_value(self, monkeypatch):
+        # the detached branch is exactly plain_original_readout held constant
         ds, layout, E, params, batch, deltas = make_instance(seed=5)
         kwargs = dict(layers=2, beta=1.0, reg_lambda=0.0, sigma_sq=1.0)
+        br_f, _ = gradients(E, params, layout, batch, deltas,
+                            with_grads=False, **kwargs)
         orig = plain_original_readout(E, layout, 2)
+        monkeypatch.setattr(objective, "plain_original_readout",
+                            lambda *args: orig)
         br_o, _ = gradients(E, params, layout, batch, deltas,
-                            original_readout=orig, with_grads=False, **kwargs)
+                            detach_original=True, with_grads=False, **kwargs)
+        monkeypatch.undo()
         br_d, _ = gradients(E, params, layout, batch, deltas,
                             detach_original=True, with_grads=False, **kwargs)
         assert br_o.total == br_d.total
+        assert br_d.total == pytest.approx(br_f.total, abs=1e-12)
 
     def test_kernel_normalize_switch(self):
         ds, layout, E, params, batch, deltas = make_instance(seed=7)
