@@ -12,6 +12,7 @@ checkpoint failures.
 import argparse
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -39,13 +40,13 @@ class RunConfig:
     interaction_rate: float = 0.15
     social_rate: float = 0.1
     noise_fraction: float = 0.5
-    # train-config keys the user set explicitly (file or flag); these override
-    # a checkpoint's embedded config during evaluate/export
+    # train-config keys the user set explicitly (file or flag); evaluate and
+    # export check them against a checkpoint's embedded config
     explicit_train: frozenset = frozenset()
 
-
-_TRAIN_KEYS = {f.name for f in fields(trainer.TrainConfig)}
-_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"train"}
+    def __post_init__(self):
+        if not (0.0 < self.split_ratio <= 1.0):
+            raise ConfigError(f"split_ratio must lie in (0, 1], got {self.split_ratio}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -64,26 +65,20 @@ def _parse_int_list(raw: str) -> Tuple[int, ...]:
         raise ConfigError(f"expected a comma-separated integer list, got {raw!r}") from None
 
 
+# every config key, file or flag, parses by the type its dataclass field declares
+_PARSERS = {int: int, float: float, bool: _parse_bool,
+            Tuple[int, ...]: _parse_int_list, Optional[str]: str}
+_TRAIN_KEYS = {f.name for f in fields(trainer.TrainConfig)}
+_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig),
+              **{k: t for k, t in typing.get_type_hints(RunConfig).items()
+                 if k not in ("train", "explicit_train")}}
+
+
 def _coerce_key(key: str, raw: str):
-    int_keys = {"embedding_dim", "layers", "batch_size", "epochs", "eval_every",
-                "patience", "seed", "clusters", "users_per_cluster",
-                "items_per_cluster"}
-    float_keys = {"learning_rate", "reg_lambda", "beta", "sigma_sq",
-                  "temperature", "epsilon", "validation_ratio", "split_ratio",
-                  "interaction_rate", "social_rate", "noise_fraction"}
-    bool_keys = {"detach_original", "kernel_normalize"}
     try:
-        if key in int_keys:
-            return int(raw)
-        if key in float_keys:
-            return float(raw)
-        if key in bool_keys:
-            return _parse_bool(raw)
-        if key in ("cutoffs", "seeds"):
-            return _parse_int_list(raw)
+        return _PARSERS[_KEY_TYPES[key]](raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return raw  # path-like keys stay strings
 
 
 def read_config_file(path) -> dict:
@@ -99,7 +94,7 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{p}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _TRAIN_KEYS and key not in _RUN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce_key(key, raw.strip())
     return out
@@ -112,24 +107,15 @@ def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
         if value is not None:
             merged[key] = value
     train_kwargs = {k: v for k, v in merged.items() if k in _TRAIN_KEYS}
-    run_kwargs = {k: v for k, v in merged.items() if k in _RUN_KEYS - {"explicit_train"}}
+    run_kwargs = {k: v for k, v in merged.items() if k not in _TRAIN_KEYS}
     if "seeds" in run_kwargs:
-        run_kwargs["seeds"] = tuple(run_kwargs["seeds"])
         if not run_kwargs["seeds"]:
             raise ConfigError("at least one seed is required")
         train_kwargs.setdefault("seed", run_kwargs["seeds"][0])
     elif "seed" in train_kwargs:
         run_kwargs["seeds"] = (train_kwargs["seed"],)
-    try:
-        train = trainer.TrainConfig(**train_kwargs)
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
-    train.validate()
-    cfg = RunConfig(train=train, explicit_train=frozenset(train_kwargs),
-                    **run_kwargs)
-    if not (0.0 < cfg.split_ratio <= 1.0):
-        raise ConfigError(f"split_ratio must lie in (0, 1], got {cfg.split_ratio}")
-    return cfg
+    return RunConfig(train=trainer.TrainConfig(**train_kwargs),
+                     explicit_train=frozenset(train_kwargs), **run_kwargs)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -199,11 +185,18 @@ def run_train(cfg: RunConfig) -> None:
 def _load_checkpoint_and_data(cfg: RunConfig):
     _require(cfg, "checkpoint", "interactions", "social", "out")
     state, ckpt_cfg = trainer.load_checkpoint(cfg.checkpoint)
-    # the checkpoint's embedded config governs evaluation; explicitly given
-    # keys (file or flag) override it
+    # the loaded state carries every other key, so of the explicitly given
+    # ones (file or flag) only cutoffs and the split seed can change anything
     overrides = {k: getattr(cfg.train, k) for k in cfg.explicit_train}
-    merged = replace(ckpt_cfg, **overrides) if overrides else ckpt_cfg
-    merged.validate()
+    clashes = [k for k in sorted(overrides) if k not in ("cutoffs", "seed")
+               and overrides[k] != getattr(ckpt_cfg, k)]
+    if clashes:
+        raise ConfigError(
+            f"checkpoint {cfg.checkpoint} was trained with "
+            + ", ".join(f"{k}={getattr(ckpt_cfg, k)!r}, not {overrides[k]!r}"
+                        for k in clashes)
+            + "; only cutoffs and seed can be set for a saved model")
+    merged = replace(ckpt_cfg, **overrides)
     dataset = data_mod.load_dataset(cfg.interactions, cfg.social,
                                     split_ratio=cfg.split_ratio,
                                     seed=merged.seed)
@@ -271,40 +264,37 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def key(sp, flag, dest=None, **kwargs):
+        """A flag for a config key, parsed by the key's declared type."""
+        dest = dest or flag[2:].replace("-", "_")
+        sp.add_argument(flag, dest=dest, type=_PARSERS[_KEY_TYPES[dest]], **kwargs)
+
     def add_common(sp):
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", dest="seeds", type=_parse_int_list,
-                        help="comma-separated seed list")
+        key(sp, "--out", help="output directory")
+        key(sp, "--seed", "seeds", help="comma-separated seed list")
 
     def add_data(sp):
-        sp.add_argument("--interactions", help="user-item edge file (TSV)")
-        sp.add_argument("--social", help="user-user edge file (TSV)")
-        sp.add_argument("--split-ratio", dest="split_ratio", type=float,
-                        help="per-user train fraction (default 0.8)")
+        key(sp, "--interactions", help="user-item edge file (TSV)")
+        key(sp, "--social", help="user-user edge file (TSV)")
+        key(sp, "--split-ratio", help="per-user train fraction (default 0.8)")
 
     def add_train_flags(sp):
-        sp.add_argument("--beta", type=float, help="bottleneck weight")
-        sp.add_argument("--sigma2", dest="sigma_sq", type=float,
-                        help="RBF kernel bandwidth (sigma squared)")
-        sp.add_argument("--layers", type=int, help="propagation depth")
-        sp.add_argument("--lr", dest="learning_rate", type=float)
-        sp.add_argument("--batch-size", dest="batch_size", type=int)
-        sp.add_argument("--lambda", dest="reg_lambda", type=float,
-                        help="L2 weight on the embedding table")
-        sp.add_argument("--epsilon", type=float,
-                        help="additive floor on relaxed social weights")
-        sp.add_argument("--temperature", type=float,
-                        help="relaxation temperature")
-        sp.add_argument("--epochs", type=int)
-        sp.add_argument("--eval-every", dest="eval_every", type=int)
-        sp.add_argument("--patience", type=int,
-                        help="evaluations without improvement before stopping")
-        sp.add_argument("--dim", dest="embedding_dim", type=int)
-        sp.add_argument("--cutoffs", type=_parse_int_list,
-                        help="comma-separated ranking cutoffs")
-        sp.add_argument("--validation-ratio", dest="validation_ratio", type=float,
-                        help="carve this per-user train fraction out for model selection")
+        key(sp, "--beta", help="bottleneck weight")
+        key(sp, "--sigma2", "sigma_sq", help="RBF kernel bandwidth (sigma squared)")
+        key(sp, "--layers", help="propagation depth")
+        key(sp, "--lr", "learning_rate")
+        key(sp, "--batch-size")
+        key(sp, "--lambda", "reg_lambda", help="L2 weight on the embedding table")
+        key(sp, "--epsilon", help="additive floor on relaxed social weights")
+        key(sp, "--temperature", help="relaxation temperature")
+        key(sp, "--epochs")
+        key(sp, "--eval-every")
+        key(sp, "--patience", help="evaluations without improvement before stopping")
+        key(sp, "--dim", "embedding_dim")
+        key(sp, "--cutoffs", help="comma-separated ranking cutoffs")
+        key(sp, "--validation-ratio",
+            help="carve this per-user train fraction out for model selection")
         sp.add_argument("--detach-original", dest="detach_original",
                         action="store_const", const=True,
                         help="hold the original-graph branch constant in the bottleneck")
@@ -320,23 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp_eval = sub.add_parser("evaluate", help="rank with a saved checkpoint")
     add_common(sp_eval)
     add_data(sp_eval)
-    sp_eval.add_argument("--checkpoint", help="checkpoint file from train")
-    sp_eval.add_argument("--cutoffs", type=_parse_int_list)
+    key(sp_eval, "--checkpoint", help="checkpoint file from train")
+    key(sp_eval, "--cutoffs")
 
     sp_conf = sub.add_parser("export-confidence",
                              help="write per-social-edge confidence CSV")
     add_common(sp_conf)
     add_data(sp_conf)
-    sp_conf.add_argument("--checkpoint", help="checkpoint file from train")
+    key(sp_conf, "--checkpoint", help="checkpoint file from train")
 
     sp_synth = sub.add_parser("synth", help="generate a planted-noise dataset")
     add_common(sp_synth)
-    sp_synth.add_argument("--clusters", type=int)
-    sp_synth.add_argument("--users-per-cluster", dest="users_per_cluster", type=int)
-    sp_synth.add_argument("--items-per-cluster", dest="items_per_cluster", type=int)
-    sp_synth.add_argument("--interaction-rate", dest="interaction_rate", type=float)
-    sp_synth.add_argument("--social-rate", dest="social_rate", type=float)
-    sp_synth.add_argument("--noise-fraction", dest="noise_fraction", type=float)
+    for flag in ("--clusters", "--users-per-cluster", "--items-per-cluster",
+                 "--interaction-rate", "--social-rate", "--noise-fraction"):
+        key(sp_synth, flag)
     return parser
 
 

@@ -47,7 +47,7 @@ class SyntheticSpec:
     noise_edge_fraction: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.cluster_count < 1:
             raise DataError("cluster_count must be >= 1")
         if self.users_per_cluster < 1 or self.items_per_cluster < 1:
@@ -279,7 +279,6 @@ def generate_synthetic(spec: SyntheticSpec):
     Returns (Dataset, noise_labels) where noise_labels is a boolean array
     aligned with dataset.social_pairs: True marks a planted noise edge.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     C, U, I = spec.cluster_count, spec.users_per_cluster, spec.items_per_cluster
     M = C * U

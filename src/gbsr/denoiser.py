@@ -163,8 +163,3 @@ def confidence_csv(cmap: EdgeConfidenceMap) -> str:
         lines.append(f"{int(a)},{int(b)},{float(w)!r},{float(rho)!r}")
     return "\n".join(lines) + "\n"
 
-
-def export_confidence(cmap: EdgeConfidenceMap, path) -> None:
-    from .ioutil import atomic_write_text
-
-    atomic_write_text(path, confidence_csv(cmap))

@@ -11,26 +11,16 @@ Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
 
 Each stage is written once on the autodiff tape: the training objective
-records `bottleneck` on its readouts, and `rbf_kernel`, `hsic_estimate` and
-`bottleneck_loss` run the same functions on constants.
+records `bottleneck` on its readouts, and `rbf_kernel` and `hsic_estimate`
+run the same functions on constants.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric RBF Gram matrix with its bandwidth (sigma squared)."""
-
-    values: np.ndarray
-    bandwidth: float
 
 
 def normalize_rows(X: ad.Tensor) -> ad.Tensor:
@@ -71,18 +61,18 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     return dependence(rbf(X, sigma_sq), rbf(Y, sigma_sq))
 
 
-def rbf_kernel(X: np.ndarray, sigma_sq: float) -> KernelMatrix:
+def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
     if not (sigma_sq > 0.0):
         raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
-    return KernelMatrix(rbf(ad.constant(X), sigma_sq).data, float(sigma_sq))
+    return rbf(ad.constant(X), sigma_sq).data
 
 
-def hsic_estimate(kx, ky) -> float:
-    Kx = kx.values if isinstance(kx, KernelMatrix) else np.asarray(kx, dtype=np.float64)
-    Ky = ky.values if isinstance(ky, KernelMatrix) else np.asarray(ky, dtype=np.float64)
+def hsic_estimate(Kx: np.ndarray, Ky: np.ndarray) -> float:
+    Kx = np.asarray(Kx, dtype=np.float64)
+    Ky = np.asarray(Ky, dtype=np.float64)
     if Kx.shape != Ky.shape or Kx.ndim != 2 or Kx.shape[0] != Kx.shape[1]:
         raise DataError(
             f"kernel matrices must be square and equal-sized, got {Kx.shape} and {Ky.shape}")
@@ -90,11 +80,3 @@ def hsic_estimate(kx, ky) -> float:
         raise DataError("HSIC needs at least 2 samples")
     return float(dependence(ad.constant(Kx), ad.constant(Ky)).data)
 
-
-def bottleneck_loss(reps_denoised: np.ndarray, reps_original: np.ndarray,
-                    batch_users: np.ndarray, sigma_sq: float,
-                    normalize: bool = True) -> float:
-    """`bottleneck` on plain arrays; each distinct user contributes one row
-    per side.  Raises when fewer than 2 distinct users remain."""
-    return float(bottleneck(ad.constant(reps_denoised), ad.constant(reps_original),
-                            batch_users, sigma_sq, normalize).data)

@@ -11,9 +11,10 @@ order: init first, then per epoch (batch draw, relaxation draw) per batch.
 from __future__ import annotations
 
 import ast
+import copy
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,23 +50,23 @@ class TrainConfig:
     eval_every: int = 1
     patience: int = 50
     seed: int = 0
-    cutoffs: tuple = (10, 20)
+    cutoffs: Tuple[int, ...] = (10, 20)
     detach_original: bool = False
     kernel_normalize: bool = True
     validation_ratio: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not (1 <= self.layers <= MAX_LAYERS):
             raise ConfigError(f"layers must lie in [1, {MAX_LAYERS}], got {self.layers}")
-        if self.learning_rate < 0.0:
+        if not (self.learning_rate >= 0.0):  # also rejects NaN
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.reg_lambda < 0.0:
+        if not (self.reg_lambda >= 0.0):
             raise ConfigError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.beta < 0.0:
+        if not (self.beta >= 0.0):
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not (self.sigma_sq > 0.0):
             raise ConfigError(f"sigma_sq must be > 0, got {self.sigma_sq}")
@@ -137,7 +138,6 @@ class TrainState:
 
 
 def init(config: TrainConfig, dataset: Dataset, rng: np.random.Generator) -> TrainState:
-    config.validate()
     matrix = rng.normal(0.0, INIT_SCALE, size=(dataset.node_count, config.embedding_dim))
     table = EmbeddingTable(matrix, config.layers)
     den = DenoiserParams.init(config.embedding_dim, rng, scale=INIT_SCALE,
@@ -184,39 +184,6 @@ def evaluate_state(state: TrainState, dataset: Dataset,
     return evaluation.evaluate(reps, dataset, config.cutoffs)
 
 
-def _snapshot(state: TrainState, config: TrainConfig) -> dict:
-    adam = state.adam
-    return {
-        "embeddings": state.embeddings.matrix.copy(),
-        "denoiser": DenoiserParams(
-            state.denoiser.layer1_weight.copy(), state.denoiser.layer1_bias.copy(),
-            state.denoiser.layer2_weight.copy(), state.denoiser.layer2_bias.copy(),
-            state.denoiser.temperature, state.denoiser.observation_bias),
-        "adam_m": {k: v.copy() for k, v in adam.m.items()},
-        "adam_v": {k: v.copy() for k, v in adam.v.items()},
-        "adam_step": adam.step_count,
-        "epoch": state.epoch,
-        "best_metric": state.best_metric,
-        "layers": config.layers,
-        "learning_rate": config.learning_rate,
-    }
-
-
-def _restore(snap: dict) -> TrainState:
-    adam = Adam(snap["learning_rate"])
-    adam.step_count = snap["adam_step"]
-    adam.m = {k: v.copy() for k, v in snap["adam_m"].items()}
-    adam.v = {k: v.copy() for k, v in snap["adam_v"].items()}
-    den = snap["denoiser"]
-    state = TrainState(
-        EmbeddingTable(snap["embeddings"].copy(), snap["layers"]),
-        DenoiserParams(den.layer1_weight.copy(), den.layer1_bias.copy(),
-                       den.layer2_weight.copy(), den.layer2_bias.copy(),
-                       den.temperature, den.observation_bias),
-        adam, snap["epoch"], snap["best_metric"])
-    return state
-
-
 def _carve_validation(dataset: Dataset, config: TrainConfig) -> Dataset:
     """Move a per-user slice of train into a held-out selection split."""
     vrng = np.random.default_rng([config.seed, 0x5E1EC7])
@@ -229,12 +196,11 @@ def _carve_validation(dataset: Dataset, config: TrainConfig) -> Dataset:
 def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
     """Train to completion; returns the best-selection-metric state and the
     structured training log (one dict per record, JSON-serializable)."""
-    config.validate()
     work = _carve_validation(dataset, config) if config.validation_ratio > 0 else dataset
     rng = np.random.default_rng(config.seed)
     state = init(config, work, rng)
     log: List[dict] = [{"event": "config", **config_as_dict(config)}]
-    best_snapshot: Optional[dict] = None
+    best: Optional[TrainState] = None
     evals_since_best = 0
     for epoch in range(1, config.epochs + 1):
         state, losses = train_epoch(state, work, config, rng)
@@ -249,7 +215,7 @@ def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
             metric = report.recall[config.selection_cutoff]
             if metric > state.best_metric:
                 state.best_metric = metric
-                best_snapshot = _snapshot(state, config)
+                best = copy.deepcopy(state)
                 evals_since_best = 0
                 record["improved"] = True
             else:
@@ -263,8 +229,7 @@ def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
                 break
         else:
             log.append(record)
-    best = _restore(best_snapshot) if best_snapshot is not None else state
-    return best, log
+    return (best if best is not None else state), log
 
 
 # -- config serialization ----------------------------------------------------
@@ -286,9 +251,7 @@ def config_from_dict(values: dict) -> TrainConfig:
     kwargs = dict(values)
     if "cutoffs" in kwargs:
         kwargs["cutoffs"] = tuple(kwargs["cutoffs"])
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    return TrainConfig(**kwargs)
 
 
 def _config_lines(config: TrainConfig, extra: dict) -> bytes:
@@ -395,11 +358,8 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
 
     extra = {k: values.pop(k) for k in ("epoch", "adam_step", "best_metric")
              if k in values}
-    if "cutoffs" in values:
-        values["cutoffs"] = tuple(values["cutoffs"])
     try:
-        config = TrainConfig(**values)
-        config.validate()
+        config = config_from_dict(values)
     except (TypeError, ConfigError) as err:
         raise CheckpointError(f"{path}: bad embedded config: {err}") from err
 

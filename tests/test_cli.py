@@ -1,11 +1,14 @@
 """End-to-end command-line runs: files produced, precedence, exit codes."""
 
 import json
+import typing
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
-from gbsr.cli import main
+from gbsr.cli import RunConfig, main, read_config_file
+from gbsr.trainer import TrainConfig
 
 SYNTH_FLAGS = ["--clusters", "2", "--users-per-cluster", "12",
                "--items-per-cluster", "10", "--interaction-rate", "0.4",
@@ -176,6 +179,36 @@ class TestEvaluate:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert list(metrics["cutoffs"]) == ["5"]
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-confidence"])
+    @pytest.mark.parametrize("text, clash", [
+        ("layers=1\n", "layers"),
+        ("temperature=5.0\nepsilon=1.0\n", "epsilon"),
+        ("embedding_dim=4\n", "embedding_dim"),
+        (CONFIG_TEXT + "cutoffs=5\nseed=0\n", None),
+    ])
+    def test_config_must_match_checkpoint(self, train_dir, data_dir, tmp_path,
+                                          command, text, clash, capsys):
+        # the loaded state ignores every key but cutoffs and seed, so a
+        # different value elsewhere would only mislabel the manifest
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg),
+                     "--checkpoint", str(train_dir / "checkpoint_seed0.bin"),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(out)])
+        if clash is None:
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            trained = json.loads((train_dir / "manifest.json").read_text())
+            assert manifest["effective_config"] == dict(
+                trained["effective_config"], cutoffs=[5])
+        else:
+            assert code == 1
+            assert f"{clash}=" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
     def test_missing_checkpoint_flag(self, data_dir, tmp_path):
         code = main(["evaluate",
                      "--interactions", str(data_dir / "interactions.tsv"),
@@ -289,3 +322,22 @@ class TestErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seeds"] == [5]
         assert manifest["effective_config"]["seed"] == 5
+
+
+_KEY_TYPES = {k: t for k, t in {**typing.get_type_hints(TrainConfig),
+                                **typing.get_type_hints(RunConfig)}.items()
+              if k not in ("train", "explicit_train")}
+# one config-file value and its parse per declared field type
+_SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), bool: ("yes", True),
+            Tuple[int, ...]: ("5, 10", (5, 10)),
+            Optional[str]: ("data/in.tsv", "data/in.tsv")}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("key", sorted(_KEY_TYPES))
+    def test_value_parses_to_declared_type(self, key, tmp_path):
+        raw, want = _SAMPLES[_KEY_TYPES[key]]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key}={raw}\n", encoding="utf-8")
+        got = read_config_file(cfg)[key]
+        assert got == want and type(got) is type(want)

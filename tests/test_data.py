@@ -253,11 +253,11 @@ class TestSynthetic:
 
     def test_noise_needs_two_clusters(self):
         with pytest.raises(DataError, match="clusters"):
-            SyntheticSpec(1, 5, 5, 0.5, 0.5, 0.5, seed=0).validate()
+            SyntheticSpec(1, 5, 5, 0.5, 0.5, 0.5, seed=0)
 
     def test_rate_bounds_validated(self):
         with pytest.raises(DataError):
-            SyntheticSpec(2, 5, 5, 1.5, 0.5, 0.5, seed=0).validate()
+            SyntheticSpec(2, 5, 5, 1.5, 0.5, 0.5, seed=0)
 
     def test_export_round_trip_bytes(self, tmp_path, small_synthetic):
         ds, labels = small_synthetic

@@ -8,8 +8,7 @@ from scipy.special import expit
 from gbsr import autodiff as ad
 from gbsr.data import Dataset
 from gbsr.denoiser import (CONFIDENCE_CLAMP, DenoiserParams, EdgeConfidenceMap,
-                           confidence_csv, confidences, denoise,
-                           export_confidence, relax_sample)
+                           confidence_csv, confidences, denoise, relax_sample)
 from gbsr.errors import ConfigError, DataError
 
 
@@ -221,7 +220,7 @@ class TestMap:
 
 
 class TestCsv:
-    def test_header_and_exact_round_trip(self, tmp_path):
+    def test_header_and_exact_round_trip(self):
         cmap = EdgeConfidenceMap(np.array([[0, 1], [2, 5]]),
                                  np.array([1 / 3, 0.125]),
                                  np.array([2 / 3, 1.0]))
@@ -232,6 +231,3 @@ class TestCsv:
         assert (int(a), int(b)) == (0, 1)
         # repr round-trips doubles bit for bit
         assert float(w) == 1 / 3 and float(rho) == 2 / 3
-        out = tmp_path / "conf.csv"
-        export_confidence(cmap, out)
-        assert out.read_text(encoding="utf-8") == text

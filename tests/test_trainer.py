@@ -29,7 +29,6 @@ class TestConfig:
         assert c.cutoffs == (10, 20)
         assert not c.detach_original and c.kernel_normalize
         assert c.validation_ratio == 0.0
-        c.validate()
 
     @pytest.mark.parametrize("kw", [
         {"embedding_dim": 0}, {"layers": 0}, {"layers": 9},
@@ -37,11 +36,12 @@ class TestConfig:
         {"beta": -0.5}, {"sigma_sq": 0.0}, {"temperature": 0.0},
         {"epsilon": 1.5}, {"epochs": -1}, {"eval_every": 0},
         {"patience": 0}, {"cutoffs": ()}, {"cutoffs": (0,)},
-        {"validation_ratio": 1.0},
+        {"validation_ratio": 1.0}, {"learning_rate": float("nan")},
+        {"reg_lambda": float("nan")}, {"beta": float("nan")},
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
 
     def test_selection_cutoff(self):
         assert TrainConfig(cutoffs=(10, 20)).selection_cutoff == 20
@@ -232,10 +232,8 @@ class TestFit:
                     == n)
         np.testing.assert_array_equal(work.social_pairs, ds.social_pairs)
 
-    def test_carve_zero_is_identity(self, small_synthetic):
+    def test_ratio_zero_is_logged(self, small_synthetic):
         ds, _ = small_synthetic
-        work = trainer._carve_validation(ds, quick_config(validation_ratio=0.0))
-        # ratio 0 never reaches the carve; fit passes the dataset through
         _, log = fit(quick_config(epochs=1, validation_ratio=0.0), ds)
         assert log[0]["validation_ratio"] == 0.0
 
