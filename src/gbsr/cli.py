@@ -221,14 +221,8 @@ def run_export_confidence(cfg: RunConfig) -> None:
     state, ckpt_cfg, dataset = _load_checkpoint_and_data(cfg)
     cmap = denoiser_mod.denoise(state.denoiser, state.embeddings.matrix,
                                 dataset, mode="deterministic")
-    text = denoiser_mod.confidence_csv(cmap)
-    if len(cmap):
-        conf = cmap.confidence
-        text += (f"# edges={len(cmap)} mean_confidence={float(conf.mean())!r} "
-                 f"min={float(conf.min())!r} max={float(conf.max())!r}\n")
-    else:
-        text += "# edges=0\n"
-    atomic_write_text(Path(cfg.out) / "confidence.csv", text)
+    atomic_write_text(Path(cfg.out) / "confidence.csv",
+                      denoiser_mod.confidence_csv(cmap))
     merged = replace(cfg, train=ckpt_cfg)
     _write_manifest(merged, "export-confidence", ["confidence.csv"])
 

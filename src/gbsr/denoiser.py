@@ -158,8 +158,13 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
 
 
 def confidence_csv(cmap: EdgeConfidenceMap) -> str:
+    """Header, one row per pair, then a `# edges=...` summary line."""
     lines = ["user_a,user_b,confidence,relaxed_weight"]
     for (a, b), w, rho in zip(cmap.pairs, cmap.confidence, cmap.relaxed):
         lines.append(f"{int(a)},{int(b)},{float(w)!r},{float(rho)!r}")
+    conf = cmap.confidence
+    lines.append(f"# edges={len(cmap)} mean_confidence={float(conf.mean())!r} "
+                 f"min={float(conf.min())!r} max={float(conf.max())!r}"
+                 if len(cmap) else "# edges=0")
     return "\n".join(lines) + "\n"
 

@@ -46,6 +46,7 @@ class EdgeLayout:
         self.node_count = dataset.node_count
         self.user_count = M
         self.item_count = dataset.item_count
+        self._original_values: Optional[np.ndarray] = None
         self._original_csr: Optional[sp.csr_matrix] = None
 
     def values(self, social_weights: ad.Tensor) -> ad.Tensor:
@@ -55,9 +56,13 @@ class EdgeLayout:
         return ad.concat([social_weights, social_weights, ones, ones], axis=0)
 
     def original_values(self) -> ad.Tensor:
-        """Normalized entry values with every social weight at 1."""
-        ones = ad.constant(np.ones(self.social_count))
-        return renormalize(self.values(ones), self)[1]
+        """Normalized entry values with every social weight at 1, computed
+        once per layout and handed out as a read-only constant."""
+        if self._original_values is None:
+            ones = ad.constant(np.ones(self.social_count))
+            self._original_values = renormalize(self.values(ones), self)[1].data
+            self._original_values.flags.writeable = False
+        return ad.constant(self._original_values)
 
     def original_normalized_csr(self) -> sp.csr_matrix:
         """The all-ones graph's normalized operator, built once per layout."""

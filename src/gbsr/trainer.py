@@ -10,10 +10,9 @@ order: init first, then per epoch (batch draw, relaxation draw) per batch.
 
 from __future__ import annotations
 
-import ast
 import copy
+import json
 import math
-import struct
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +31,7 @@ from .ioutil import atomic_write_bytes
 INIT_SCALE = 0.01  # std of the Gaussian embedding and MLP init
 
 CHECKPOINT_MAGIC = b"GBSRCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -254,127 +253,89 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def _config_lines(config: TrainConfig, extra: dict) -> bytes:
-    lines = []
-    for f in fields(config):
-        lines.append(f"{f.name}={getattr(config, f.name)!r}")
-    for key, value in extra.items():
-        lines.append(f"{key}={value!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _parse_config_lines(payload: bytes) -> dict:
-    out = {}
-    for lineno, line in enumerate(payload.decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed config line {lineno}: {line!r}")
-        key, _, raw = line.partition("=")
-        try:
-            out[key] = ast.literal_eval(raw)
-        except (ValueError, SyntaxError) as err:
-            # literal_eval rejects inf/nan, which repr emits for them
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                raise CheckpointError(
-                    f"malformed config line {lineno}: {line!r}") from err
-    return out
-
-
 # -- binary checkpoints ------------------------------------------------------
 
 
-def _checkpoint_arrays(state: TrainState) -> List[Tuple[str, np.ndarray]]:
-    params = state.parameters()
-    arrays = [(name, params[name]) for name in objective.PARAM_BLOCKS]
-    for prefix, store in (("m", state.adam.m), ("v", state.adam.v)):
-        for name in objective.PARAM_BLOCKS:
-            arrays.append((f"{prefix}.{name}",
-                           store.get(name, np.zeros_like(params[name]))))
-    return arrays
-
-
 def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    arrays = _checkpoint_arrays(state)
-    chunks.append(struct.pack("<I", len(arrays)))
-    for _, arr in arrays:
-        arr = np.asarray(arr, dtype=np.float64)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    extra = {"epoch": state.epoch, "adam_step": state.adam.step_count,
-             "best_metric": state.best_metric}
-    payload = _config_lines(config, extra)
-    chunks.append(struct.pack("<Q", len(payload)))
-    chunks.append(payload)
+    """Magic, u32 version, u64 header length, a UTF-8 JSON header (config,
+    counters, [name, shape] per array), then each array as C-order <f8."""
+    params = state.parameters()
+    arrays = dict(params)
+    for prefix, store in (("m", state.adam.m), ("v", state.adam.v)):
+        for name, value in params.items():
+            arrays[f"{prefix}.{name}"] = store.get(name, np.zeros_like(value))
+    header = json.dumps({
+        "config": config_as_dict(config), "epoch": state.epoch,
+        "adam_step": state.adam.step_count, "best_metric": state.best_metric,
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
+    }).encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little"),
+              len(header).to_bytes(8, "little"), header]
+    chunks += [np.asarray(arr, dtype="<f8").tobytes(order="C") for arr in arrays.values()]
     atomic_write_bytes(path, b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("checkpoint truncated")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
 
 
 def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
-    if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+    at = len(CHECKPOINT_MAGIC)
+    if blob[:at] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
+    version = int.from_bytes(blob[at:at + 4], "little")
+    if len(blob) >= at + 4 and version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    count = r.u32()
-    arrays: List[np.ndarray] = []
-    for _ in range(count):
-        ndim = r.u32()
-        if ndim > 8:
-            raise CheckpointError(f"{path}: implausible array rank {ndim}")
-        shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-        arrays.append(np.array(data, dtype=np.float64))
-    payload_len = r.u64()
-    values = _parse_config_lines(r.take(payload_len))
-    if r.pos != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
-
-    extra = {k: values.pop(k) for k in ("epoch", "adam_step", "best_metric")
-             if k in values}
+    truncated = CheckpointError(f"{path}: checkpoint truncated at {len(blob)} bytes")
+    start = at + 12 + int.from_bytes(blob[at + 4:at + 12], "little")
+    if len(blob) < start:  # also covers a file shorter than the fixed fields
+        raise truncated
     try:
-        config = config_from_dict(values)
-    except (TypeError, ConfigError) as err:
-        raise CheckpointError(f"{path}: bad embedded config: {err}") from err
+        header = json.loads(blob[at + 12:start].decode("utf-8"))
+        config = config_from_dict(header["config"])
+        epoch, adam_step = int(header["epoch"]), int(header["adam_step"])
+        best_metric = float(header["best_metric"])
+        entries = [(name, tuple(int(d) for d in shape)) for name, shape in header["arrays"]]
+        shapes = dict(entries)
+    except (ValueError, TypeError, KeyError, OverflowError, ConfigError) as err:
+        raise CheckpointError(f"{path}: bad checkpoint header: {err}") from err
 
-    expected = len(objective.PARAM_BLOCKS) * 3
-    if len(arrays) != expected:
-        raise CheckpointError(f"{path}: expected {expected} arrays, found {len(arrays)}")
-    named = dict(zip(objective.PARAM_BLOCKS, arrays[:5]))
-    table = EmbeddingTable(named["embeddings"], config.layers)
-    den = DenoiserParams(named["layer1_weight"], named["layer1_bias"],
-                         named["layer2_weight"], named["layer2_bias"],
-                         config.temperature, config.epsilon)
+    blocks = objective.PARAM_BLOCKS
+    expected = {f"{prefix}{name}" for prefix in ("", "m.", "v.") for name in blocks}
+    if len(shapes) != len(entries) or set(shapes) != expected:
+        raise CheckpointError(
+            f"{path}: checkpoint arrays {[name for name, _ in entries]} are not "
+            f"each of {sorted(expected)} once")
+    for name, shape in entries:
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: array {name!r} has a negative dimension {shape}")
+        block = name.partition(".")[2]
+        if block and shape != shapes[block]:
+            raise CheckpointError(
+                f"{path}: moment {name!r} has shape {shape}, its block {shapes[block]}")
+    end = start + 8 * sum(math.prod(shape) for _, shape in entries)
+    if len(blob) < end:
+        raise truncated
+    if len(blob) > end:
+        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes after the last array")
+
+    arrays = {}
+    for name, shape in entries:
+        size = math.prod(shape)
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
+        arrays[name] = data.reshape(shape).astype(np.float64)
+        start += 8 * size
+    try:
+        table = EmbeddingTable(arrays["embeddings"], config.layers)
+        den = DenoiserParams(arrays["layer1_weight"], arrays["layer1_bias"],
+                             arrays["layer2_weight"], arrays["layer2_bias"],
+                             config.temperature, config.epsilon)
+        if not (table.matrix.shape[1] == den.dim == config.embedding_dim):
+            raise ConfigError(
+                f"embedding width {table.matrix.shape[1]}, denoiser width {den.dim} "
+                f"and embedding_dim={config.embedding_dim} differ")
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: arrays do not form a model: {err}") from err
     adam = Adam(config.learning_rate)
-    adam.step_count = int(extra.get("adam_step", 0))
-    adam.m = dict(zip(objective.PARAM_BLOCKS, arrays[5:10]))
-    adam.v = dict(zip(objective.PARAM_BLOCKS, arrays[10:15]))
-    state = TrainState(table, den, adam, int(extra.get("epoch", 0)),
-                       float(extra.get("best_metric", float("-inf"))))
-    return state, config
+    adam.step_count = adam_step
+    adam.m = {name: arrays[f"m.{name}"] for name in blocks}
+    adam.v = {name: arrays[f"v.{name}"] for name in blocks}
+    return TrainState(table, den, adam, epoch, best_metric), config

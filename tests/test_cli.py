@@ -225,6 +225,30 @@ class TestEvaluate:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-confidence"])
+    @pytest.mark.parametrize("fault, message", [
+        (lambda b: b"NOTMAGIC" + b[8:], "bad magic"),
+        (lambda b: b[:8] + (1).to_bytes(4, "little") + b[12:],
+         "unsupported checkpoint version 1"),
+        (lambda b: b[:len(b) // 2], "checkpoint truncated"),
+        (lambda b: b + b"XX", "2 trailing bytes"),
+        (lambda b: b.replace(b'"embedding_dim"', b'"embeddingdim!"', 1),
+         "bad checkpoint header"),
+    ], ids=["magic", "version-1", "truncated", "trailing", "config"])
+    def test_checkpoint_faults_are_exit_3(self, train_dir, data_dir, tmp_path,
+                                          capsys, command, fault, message):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(fault((train_dir / "checkpoint_seed0.bin").read_bytes()))
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(bad),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert not (out / "confidence.csv").exists()
+
 
 class TestExportConfidence:
     def test_csv_contents(self, train_dir, data_dir, tmp_path):

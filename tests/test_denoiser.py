@@ -231,3 +231,10 @@ class TestCsv:
         assert (int(a), int(b)) == (0, 1)
         # repr round-trips doubles bit for bit
         assert float(w) == 1 / 3 and float(rho) == 2 / 3
+        assert lines[-1] == (f"# edges=2 mean_confidence={(1 / 3 + 0.125) / 2!r} "
+                             f"min=0.125 max={1 / 3!r}")
+        assert len(lines) == 4 and text.endswith("\n")
+
+    def test_empty_map_trailer(self):
+        cmap = EdgeConfidenceMap(np.empty((0, 2)), np.empty(0), np.empty(0))
+        assert confidence_csv(cmap) == "user_a,user_b,confidence,relaxed_weight\n# edges=0\n"

@@ -105,6 +105,9 @@ class TestLayout:
         np.testing.assert_allclose(lay.original_normalized_csr().toarray(),
                                    normalized_dense(ones), rtol=0, atol=0)
         assert lay.original_normalized_csr() is lay.original_normalized_csr()
+        # the values are computed once and shared read-only across calls
+        assert lay.original_values().data is lay.original_values().data
+        assert not lay.original_values().data.flags.writeable
 
 
 class TestAgainstDenseOracle:

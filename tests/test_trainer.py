@@ -1,5 +1,8 @@
 """Training loop, optimizer, reproducibility, and binary checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -287,18 +290,53 @@ class TestCheckpoint:
         assert loaded.best_metric == float("-inf")
         assert loaded.adam.step_count == 0
 
+    def test_layout_is_json_header_plus_named_arrays(self, tmp_path,
+                                                      small_synthetic):
+        ds, _ = small_synthetic
+        cfg = quick_config()
+        state, _ = fit(cfg, ds)
+        path = tmp_path / "model.bin"
+        save_checkpoint(state, cfg, path)
+        blob = path.read_bytes()
+        assert blob[:12] == CHECKPOINT_MAGIC + struct.pack("<I", 2)
+        header, start = _header(blob)
+        assert header["config"] == config_as_dict(cfg)
+        assert (header["epoch"], header["adam_step"], header["best_metric"]) == (
+            state.epoch, state.adam.step_count, state.best_metric)
+        names = [name for name, _ in header["arrays"]]
+        assert names == [f"{prefix}{block}" for prefix in ("", "m.", "v.")
+                         for block in objective.PARAM_BLOCKS]
+        # arrays follow the header in header order as C-order <f8 bytes
+        emb = state.embeddings.matrix
+        assert header["arrays"][0] == ["embeddings", list(emb.shape)]
+        assert blob[start:start + emb.nbytes] == emb.astype("<f8").tobytes()
+        assert len(blob) == start + 8 * sum(int(np.prod(shape))
+                                            for _, shape in header["arrays"])
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match="bad magic, not a checkpoint file"):
             load_checkpoint(path)
 
     def test_version_checked(self, tmp_path):
-        import struct
-
+        # twelve bytes suffice: the version comes before the header length
         path = tmp_path / "v9.bin"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 9))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 9$"):
+            load_checkpoint(path)
+
+    def test_version_1_refused(self, tmp_path, small_synthetic):
+        # a v2 file relabelled as v1: there is no reader for the old layout
+        ds, _ = small_synthetic
+        cfg = quick_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(init(cfg, ds, np.random.default_rng(0)), cfg, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1$"):
             load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path, small_synthetic):
@@ -308,10 +346,12 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(state, cfg, path)
         blob = path.read_bytes()
+        # inside the version, inside the arrays, one byte short
         for cut in (10, len(blob) // 2, len(blob) - 1):
             bad = tmp_path / "cut.bin"
             bad.write_bytes(blob[:cut])
-            with pytest.raises(CheckpointError):
+            with pytest.raises(CheckpointError,
+                               match=f"checkpoint truncated at {cut} bytes$"):
                 load_checkpoint(bad)
 
     def test_trailing_garbage_detected(self, tmp_path, small_synthetic):
@@ -322,7 +362,8 @@ class TestCheckpoint:
         save_checkpoint(state, cfg, path)
         bad = tmp_path / "pad.bin"
         bad.write_bytes(path.read_bytes() + b"XX")
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError,
+                           match="2 trailing bytes after the last array$"):
             load_checkpoint(bad)
 
     def test_corrupt_config_detected(self, tmp_path, small_synthetic):
@@ -332,9 +373,73 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(state, cfg, path)
         blob = bytearray(path.read_bytes())
-        idx = blob.find(b"embedding_dim=")
-        blob[idx:idx + 13] = b"embeddingdim!"
+        idx = blob.find(b'"embedding_dim":')
+        assert idx >= 0
+        blob[idx + 1:idx + 14] = b"embeddingdim!"
         bad = tmp_path / "conf.bin"
         bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=(
+                r"bad checkpoint header: unknown config keys: \['embeddingdim!'\]")):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.__setitem__("config", {**h["config"], "layers": 0}),
+         r"bad checkpoint header: layers must lie in"),
+        (lambda h: h.pop("adam_step"), r"bad checkpoint header: 'adam_step'"),
+        (lambda h: h["arrays"].pop(), r"are not each of \[.*\] once$"),
+        (lambda h: h["arrays"].append(["extra", [0]]), r"are not each of"),
+        (lambda h: h["arrays"].__setitem__(1, h["arrays"][0]), r"are not each of"),
+        (lambda h: h["arrays"][3].__setitem__(1, [-1, 1]),
+         r"array 'layer2_weight' has a negative dimension \(-1, 1\)$"),
+        (lambda h: h["arrays"][2].__setitem__(1, [float("inf")]),
+         r"bad checkpoint header: cannot convert float infinity to integer"),
+        (lambda h: h["arrays"][2].__setitem__(0, ["layer1_bias"]),
+         r"bad checkpoint header: unhashable type"),
+        (lambda h: h["arrays"][6].__setitem__(
+            1, h["arrays"][6][1][::-1]),
+         r"moment 'm.layer1_weight' has shape \(8, 24\), its block \(24, 8\)$"),
+        (lambda h: [entry.__setitem__(1, [1, 1]) for entry in h["arrays"]
+                    if entry[0].endswith("layer2_bias")],
+         r"arrays do not form a model: layer2_bias must be \(1,\), got \(1, 1\)$"),
+        (lambda h: h["config"].__setitem__("embedding_dim", 4),
+         r"arrays do not form a model: embedding width 8, denoiser width 8 "
+         r"and embedding_dim=4 differ$"),
+    ], ids=["bad-config-value", "missing-counter", "missing-array",
+            "unknown-array", "duplicate-array", "negative-dim",
+            "infinite-dim", "unhashable-name", "moment-shape",
+            "inconsistent-blocks", "config-width"])
+    def test_bad_header_detected(self, tmp_path, small_synthetic, edit,
+                                 message):
+        ds, _ = small_synthetic
+        cfg = quick_config()
+        state = init(cfg, ds, np.random.default_rng(0))
+        path = tmp_path / "model.bin"
+        save_checkpoint(state, cfg, path)
+        blob = path.read_bytes()
+        header, start = _header(blob)
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        # the array bytes stay as written: the header checks come first
+        bad = tmp_path / "header.bin"
+        bad.write_bytes(blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[start:])
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bad)
+
+    def test_malformed_header_json_detected(self, tmp_path, small_synthetic):
+        ds, _ = small_synthetic
+        cfg = quick_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(init(cfg, ds, np.random.default_rng(0)), cfg, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[20:21] == b"{"
+        blob[20:21] = b"["
+        bad = tmp_path / "json.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="bad checkpoint header: "):
+            load_checkpoint(bad)
+
+
+def _header(blob):
+    """A checkpoint's parsed JSON header and the offset of its first array."""
+    (length,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20:20 + length]), 20 + length
