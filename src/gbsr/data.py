@@ -1,10 +1,15 @@
 """Dataset ingestion, splitting, negative sampling, and synthetic generation.
 
 File format for both interaction and social inputs: one edge per line, two
-integer ids separated by a tab.  Raw ids are re-indexed densely in order of
-first appearance (interaction file first, then the social file), so arbitrary
-id spaces are accepted.  Social edges are undirected: lines are symmetrized
-into unordered pairs, duplicates collapse, self-loops are dropped.
+integer ids in the int64 range separated by a tab.  Raw ids are re-indexed
+densely in order of first appearance (interaction file first, then the social
+file), so arbitrary id spaces within int64 are accepted.  Social edges are
+undirected: lines are symmetrized into unordered pairs, duplicates collapse,
+self-loops are dropped.
+
+Interactions and social edges stay (n, 2) int64 arrays from the file reader
+to the split; a Dataset stores them sorted and read-only, and its per-user
+item arrays are views into that storage.
 
 The train/test split is per user: each user's interactions are shuffled and
 the first max(1, floor(ratio * n)) go to train, the rest to test.  A user with
@@ -68,7 +73,8 @@ class Dataset:
 
     Users occupy ids [0, user_count), items [0, item_count).  Social pairs are
     stored canonically as (a, b) with a < b, sorted; interactions are sorted
-    (user, item) pairs.
+    (user, item) pairs.  All three pair arrays are read-only, and the per-user
+    item arrays are views into them.
     """
 
     def __init__(self, user_count: int, item_count: int,
@@ -81,12 +87,12 @@ class Dataset:
         self.test_pairs = _as_pair_array(test)
         self.social_pairs = _as_pair_array(social)
         self._validate()
-        # membership key u * item_count + i, sorted for binary search
-        self._train_keys = np.sort(
-            self.train_pairs[:, 0].astype(np.int64) * self.item_count
-            + self.train_pairs[:, 1])
-        self._train_by_user = _group_by_first(self.train_pairs, self.user_count)
-        self._test_by_user = _group_by_first(self.test_pairs, self.user_count)
+        # membership key u * item_count + i; sorted because the pairs are
+        self._train_keys = self.train_pairs[:, 0] * self.item_count + self.train_pairs[:, 1]
+        # user u's items are rows [starts[u], starts[u + 1]) of the pair array
+        users = np.arange(self.user_count + 1)
+        self._train_starts = np.searchsorted(self.train_pairs[:, 0], users)
+        self._test_starts = np.searchsorted(self.test_pairs[:, 0], users)
 
     def _validate(self) -> None:
         for name, pairs, hi in (("train", self.train_pairs, self.item_count),
@@ -111,10 +117,10 @@ class Dataset:
     # -- views ---------------------------------------------------------------
 
     def train_items_of(self, user: int) -> np.ndarray:
-        return self._train_by_user[user]
+        return self.train_pairs[self._train_starts[user]:self._train_starts[user + 1], 1]
 
     def test_items_of(self, user: int) -> np.ndarray:
-        return self._test_by_user[user]
+        return self.test_pairs[self._test_starts[user]:self._test_starts[user + 1], 1]
 
     def without_social(self) -> "Dataset":
         """Same interactions, empty social graph (ablation baseline)."""
@@ -130,34 +136,28 @@ def _as_pair_array(pairs) -> np.ndarray:
     arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                      dtype=np.int64)
     if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = np.empty((0, 2), dtype=np.int64)
+    elif arr.ndim != 2 or arr.shape[1] != 2:
         raise DataError("edge collection must be a sequence of (int, int) pairs")
-    arr = np.unique(arr, axis=0)  # sorts lexicographically and drops duplicates
+    else:
+        arr = np.unique(arr, axis=0)  # sorts lexicographically and drops duplicates
+    arr.flags.writeable = False
     return arr
-
-
-def _group_by_first(pairs: np.ndarray, count: int) -> List[np.ndarray]:
-    out = [np.empty(0, dtype=np.int64) for _ in range(count)]
-    if pairs.size == 0:
-        return out
-    # pairs are sorted by user, so contiguous runs slice cleanly
-    users, starts = np.unique(pairs[:, 0], return_index=True)
-    bounds = np.append(starts, pairs.shape[0])
-    for u, lo, hi in zip(users, bounds[:-1], bounds[1:]):
-        out[u] = pairs[lo:hi, 1].copy()
-    return out
 
 
 # -- ingestion ---------------------------------------------------------------
 
+# raw ids must fit int64 (python ints, so the per-line check stays cheap)
+_ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1
 
-def _read_edge_file(path) -> List[Tuple[int, int]]:
+
+def _read_edge_file(path) -> np.ndarray:
+    """Distinct (a, b) rows of an edge file as an (n, 2) int64 array, in
+    order of first appearance."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing input file: {p}")
-    pairs: List[Tuple[int, int]] = []
-    seen = set()
+    values: List[int] = []
     for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -168,28 +168,40 @@ def _read_edge_file(path) -> List[Tuple[int, int]]:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(p, lineno, f"expected two tab-separated integers, got {line!r}") from None
-        if (a, b) not in seen:
-            seen.add((a, b))
-            pairs.append((a, b))
-    if not pairs:
+        if not (_ID_MIN <= a <= _ID_MAX and _ID_MIN <= b <= _ID_MAX):
+            raise ParseError(p, lineno, f"id outside the int64 range "
+                                        f"[{_ID_MIN}, {_ID_MAX}] in {line!r}")
+        values += (a, b)
+    if not values:
         raise DataError(f"empty input file: {p}")
-    return pairs
+    rows = np.array(values, dtype=np.int64).reshape(-1, 2)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
 
 
-def _split_per_user(items_by_user: List[List[int]], ratio: float,
-                    rng: np.random.Generator):
-    train, test = [], []
-    for user, items in enumerate(items_by_user):
-        if not items:
-            continue
-        k = max(1, math.floor(ratio * len(items) + _FLOOR_EPS))
-        k = min(k, len(items))
-        perm = rng.permutation(len(items))
-        for idx in perm[:k]:
-            train.append((user, items[idx]))
-        for idx in perm[k:]:
-            test.append((user, items[idx]))
-    return train, test
+def _first_appearance_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ids numbering the distinct values of `raw` in order of first
+    appearance, and how many there are."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], first.size
+
+
+def _split_per_user(pairs: np.ndarray, ratio: float,
+                    rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """(train, test) rows of a (user, item) pair array.
+
+    Each user's items keep their order in `pairs`; users with items draw one
+    permutation each, in increasing user order.
+    """
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    _, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    in_train = np.zeros(pairs.shape[0], dtype=bool)
+    for lo, n in zip(starts.tolist(), counts.tolist()):
+        k = min(max(1, math.floor(ratio * n + _FLOOR_EPS)), n)
+        in_train[lo + rng.permutation(n)[:k]] = True
+    return pairs[in_train], pairs[~in_train]
 
 
 def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
@@ -204,32 +216,19 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     inter_raw = _read_edge_file(interactions_path)
     social_raw = _read_edge_file(social_path)
 
-    user_index, item_index = {}, {}
-    for u, i in inter_raw:
-        if u not in user_index:
-            user_index[u] = len(user_index)
-        if i not in item_index:
-            item_index[i] = len(item_index)
-    for a, b in social_raw:
-        for raw in (a, b):
-            if raw not in user_index:
-                user_index[raw] = len(user_index)
-
-    items_by_user: List[List[int]] = [[] for _ in range(len(user_index))]
-    for u, i in inter_raw:
-        items_by_user[user_index[u]].append(item_index[i])
+    n_inter = inter_raw.shape[0]
+    user_ids, user_count = _first_appearance_ids(
+        np.concatenate([inter_raw[:, 0], social_raw.ravel()]))
+    item_ids, item_count = _first_appearance_ids(inter_raw[:, 1])
 
     rng = np.random.default_rng(seed)
-    train, test = _split_per_user(items_by_user, split_ratio, rng)
+    train, test = _split_per_user(np.stack([user_ids[:n_inter], item_ids], axis=1),
+                                  split_ratio, rng)
 
-    social = set()
-    for a, b in social_raw:
-        da, db = user_index[a], user_index[b]
-        if da == db:
-            continue  # self-loops carry no information in an undirected graph
-        social.add((min(da, db), max(da, db)))
-
-    return Dataset(len(user_index), len(item_index), train, test, sorted(social))
+    social = np.sort(user_ids[n_inter:].reshape(-1, 2), axis=1)
+    # self-loops carry no information in an undirected graph
+    social = social[social[:, 0] != social[:, 1]]
+    return Dataset(user_count, item_count, train, test, social)
 
 
 # -- negative sampling -------------------------------------------------------
@@ -283,26 +282,20 @@ def generate_synthetic(spec: SyntheticSpec):
     C, U, I = spec.cluster_count, spec.users_per_cluster, spec.items_per_cluster
     M = C * U
 
-    interactions = []
-    for u in range(M):
-        c = u // U
-        hits = np.nonzero(rng.random(I) < spec.interaction_rate)[0]
-        for i in hits:
-            interactions.append((u, c * I + int(i)))
-    if not interactions:
+    hit = np.stack([rng.random(I) < spec.interaction_rate for _ in range(M)])
+    users, items = np.nonzero(hit)
+    if users.size == 0:
         raise DataError("interaction_rate produced zero interactions; raise it or the sizes")
+    interactions = np.stack([users, users // U * I + items], axis=1)
 
-    genuine = []
-    for c in range(C):
-        base = c * U
-        draws = rng.random((U, U))
-        ia, ib = np.triu_indices(U, k=1)
-        mask = draws[ia, ib] < spec.intra_social_rate
-        for a, b in zip(ia[mask], ib[mask]):
-            genuine.append((base + int(a), base + int(b)))
+    ia, ib = np.triu_indices(U, k=1)
+    upper = np.stack([ia, ib], axis=1)
+    genuine = np.concatenate([
+        c * U + upper[rng.random((U, U))[ia, ib] < spec.intra_social_rate]
+        for c in range(C)])
 
     noise = set()
-    target = math.ceil(spec.noise_edge_fraction * len(genuine))
+    target = math.ceil(spec.noise_edge_fraction * genuine.shape[0])
     attempts = 0
     while len(noise) < target:
         attempts += 1
@@ -313,16 +306,12 @@ def generate_synthetic(spec: SyntheticSpec):
         if a == b or a // U == b // U:
             continue
         noise.add((min(a, b), max(a, b)))
+    noise = np.array(list(noise), dtype=np.int64).reshape(-1, 2)
 
-    items_by_user: List[List[int]] = [[] for _ in range(M)]
-    for u, i in interactions:
-        items_by_user[u].append(i)
-    train, test = _split_per_user(items_by_user, 0.8, rng)
-
-    social = sorted(set(genuine) | noise)
-    dataset = Dataset(M, C * I, train, test, social)
-    labels = np.array([pair in noise for pair in map(tuple, dataset.social_pairs)],
-                      dtype=bool)
+    train, test = _split_per_user(interactions, 0.8, rng)
+    dataset = Dataset(M, C * I, train, test, np.concatenate([genuine, noise]))
+    sp = dataset.social_pairs
+    labels = np.isin(sp[:, 0] * M + sp[:, 1], noise[:, 0] * M + noise[:, 1])
     return dataset, labels
 
 

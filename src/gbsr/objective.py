@@ -42,8 +42,6 @@ class LossBreakdown:
     ib_loss: float
     reg_loss: float
     total: float
-    beta: float
-    reg_lambda: float
 
 
 def plain_original_readout(embeddings: np.ndarray, layout: EdgeLayout,
@@ -126,8 +124,7 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
 
     rec_value, reg_value = float(rec.data), float(reg.data)
     breakdown = LossBreakdown(rec_value, ib_value, reg_value,
-                              (rec_value + reg_lambda * reg_value) + beta * ib_value,
-                              beta, reg_lambda)
+                              (rec_value + reg_lambda * reg_value) + beta * ib_value)
     if not np.isfinite(breakdown.total):
         raise NumericError(
             f"non-finite training loss: rec={breakdown.rec_loss} "

@@ -30,6 +30,11 @@ from .ioutil import atomic_write_bytes
 
 INIT_SCALE = 0.01  # std of the Gaussian embedding and MLP init
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 CHECKPOINT_MAGIC = b"GBSRCKPT"
 CHECKPOINT_VERSION = 2
 
@@ -92,30 +97,26 @@ class TrainConfig:
 class Adam:
     """Per-block moment estimates with bias correction."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
 
     def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        correction1 = 1.0 - self.beta1 ** self.step_count
-        correction2 = 1.0 - self.beta2 ** self.step_count
+        correction1 = 1.0 - ADAM_BETA1 ** self.step_count
+        correction2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, value in params.items():
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(value))
             v = self.v.setdefault(name, np.zeros_like(value))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             value -= self.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + self.eps)
+                np.sqrt(v / correction2) + ADAM_EPS)
 
 
 @dataclass
@@ -169,8 +170,7 @@ def train_epoch(state: TrainState, dataset: Dataset, config: TrainConfig,
                  breakdown.reg_loss, breakdown.total)
     state.epoch += 1
     rec, ib, reg, total = (sums / n_batches).tolist()
-    return state, objective.LossBreakdown(rec, ib, reg, total,
-                                          config.beta, config.reg_lambda)
+    return state, objective.LossBreakdown(rec, ib, reg, total)
 
 
 def evaluate_state(state: TrainState, dataset: Dataset,
@@ -186,8 +186,7 @@ def evaluate_state(state: TrainState, dataset: Dataset,
 def _carve_validation(dataset: Dataset, config: TrainConfig) -> Dataset:
     """Move a per-user slice of train into a held-out selection split."""
     vrng = np.random.default_rng([config.seed, 0x5E1EC7])
-    items_by_user = [list(dataset.train_items_of(u)) for u in range(dataset.user_count)]
-    train, val = data_mod._split_per_user(items_by_user, 1.0 - config.validation_ratio, vrng)
+    train, val = data_mod._split_per_user(dataset.train_pairs, 1.0 - config.validation_ratio, vrng)
     return Dataset(dataset.user_count, dataset.item_count, train, val,
                    dataset.social_pairs)
 

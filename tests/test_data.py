@@ -97,11 +97,78 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="nowhere"):
             load_dataset(tmp_path / "nowhere.tsv", social)
 
+    def test_ids_must_fit_int64(self, tmp_path):
+        inter = tmp_path / "i.tsv"
+        social = tmp_path / "s.tsv"
+        lo, hi = -2 ** 63, 2 ** 63 - 1
+        write_edges(inter, [(lo, hi), (hi, lo)])
+        write_edges(social, [(lo, hi)])
+        ds = load_dataset(inter, social, split_ratio=1.0, seed=0)
+        assert (ds.user_count, ds.item_count) == (2, 2)
+        for bad in (hi + 1, lo - 1):
+            write_edges(inter, [(1, 5), (1, bad)])
+            with pytest.raises(ParseError, match=r"i\.tsv:2: id outside the int64 range"):
+                load_dataset(inter, social)
+
     def test_bad_split_ratio(self, simple_files):
         with pytest.raises(DataError):
             load_dataset(*simple_files, split_ratio=0.0)
         with pytest.raises(DataError):
             load_dataset(*simple_files, split_ratio=1.5)
+
+
+def reference_load(inter_lines, social_lines, ratio, seed):
+    """load_dataset's contract replayed with dicts and per-user loops."""
+    users, items = {}, {}
+    inter = list(dict.fromkeys(inter_lines))  # distinct lines, first appearance
+    for u, i in inter:
+        users.setdefault(u, len(users))
+        items.setdefault(i, len(items))
+    for a, b in social_lines:
+        users.setdefault(a, len(users))
+        users.setdefault(b, len(users))
+    by_user = [[] for _ in users]
+    for u, i in inter:
+        by_user[users[u]].append(items[i])
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for u, its in enumerate(by_user):
+        if not its:
+            continue
+        k = min(max(1, int(np.floor(ratio * len(its) + 1e-9))), len(its))
+        perm = rng.permutation(len(its))
+        train += [[u, its[j]] for j in perm[:k]]
+        test += [[u, its[j]] for j in perm[k:]]
+    social = {tuple(sorted((users[a], users[b]))) for a, b in social_lines
+              if users[a] != users[b]}
+    return len(users), len(items), sorted(train), sorted(test), sorted(map(list, social))
+
+
+class TestReferenceLoad:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ratio", [0.5, 0.8, 1.0])
+    def test_messy_input_matches_reference(self, tmp_path, seed, ratio):
+        r = np.random.default_rng(seed)
+        ids = [-7, -1, 0, 3, 10 ** 13, -(10 ** 13), 2 ** 62]
+        # duplicate lines, negative and huge ids
+        inter = [(int(r.choice(ids)), int(r.choice([-2, 0, 9, 10 ** 12])))
+                 for _ in range(40)]
+        # users only in the social file, reversed and self-loop lines
+        social = [(int(r.choice(ids + [-99, 555])), int(r.choice(ids + [-99, 555])))
+                  for _ in range(25)]
+        social += [(b, a) for a, b in social[:5]] + [(555, 555), (-99, 4242)]
+        write_edges(tmp_path / "i.tsv", inter)
+        write_edges(tmp_path / "s.tsv", social)
+        ds = load_dataset(tmp_path / "i.tsv", tmp_path / "s.tsv",
+                          split_ratio=ratio, seed=seed)
+        users, items, train, test, soc = reference_load(inter, social, ratio, seed)
+        assert (ds.user_count, ds.item_count) == (users, items)
+        assert ds.train_pairs.tolist() == train
+        assert ds.test_pairs.tolist() == test
+        assert ds.social_pairs.tolist() == soc
+        for u in range(users):
+            assert ds.train_items_of(u).tolist() == [i for v, i in train if v == u]
+            assert ds.test_items_of(u).tolist() == [i for v, i in test if v == u]
 
 
 class TestSplit:
@@ -162,6 +229,13 @@ class TestDatasetValidation:
     def test_social_self_loop_rejected(self):
         with pytest.raises(DataError):
             Dataset(2, 2, [(0, 0)], [], [(1, 1)])
+
+    def test_storage_is_read_only(self, tiny_dataset):
+        for view in (tiny_dataset.train_pairs, tiny_dataset.test_pairs,
+                     tiny_dataset.social_pairs, tiny_dataset.train_items_of(0),
+                     tiny_dataset.test_items_of(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0
 
     def test_without_social(self, tiny_dataset):
         bare = tiny_dataset.without_social()

@@ -140,7 +140,6 @@ class TestTotalLoss:
         assert br.reg_loss == float((E * E).sum())
         assert br.ib_loss > 0.0
         assert br.total == (br.rec_loss + 0.01 * br.reg_loss) + 2.5 * br.ib_loss
-        assert (br.beta, br.reg_lambda) == (2.5, 0.01)
 
     def test_none_bottleneck_means_zero(self):
         br, _ = margin_losses([1.0], [0.0], beta=0.0, reg_lambda=0.0)
