@@ -52,9 +52,10 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first gradient is taken by assignment and later ones are added
+        # out of place: an op may hand one array to several parents, so no
+        # gradient buffer is ever written through
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         if self.data.ndim != 0:
@@ -159,16 +160,6 @@ class Tensor:
                 a._accumulate(g.T)
 
         return _make(a.data.T, (a,), backward)
-
-    def reshape(self, *shape):
-        a = self
-        old = a.data.shape
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(old))
-
-        return _make(a.data.reshape(*shape), (a,), backward)
 
     # -- reductions ---------------------------------------------------------
 

@@ -3,22 +3,26 @@
 Layer 0 is the trainable embedding table itself; layer l+1 is one normalized
 aggregation of layer l.  The readout averages layers 0..L, and preference
 scores are plain inner products between user and item readout rows.
-`layer_readout` is the one definition of that loop; training records it on the
-tape and `forward` runs it on constants.
+`layer_readout` is the one definition of that loop.  `propagate` records
+degree renormalization, the loop and the readout as one tape node for
+training; `forward` runs the same renormalization and loop for evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
-from .graph import EdgeLayout, WeightedAdjacency
+from .graph import DEGREE_FLOOR, EdgeLayout, WeightedAdjacency, renormalize
 
 MAX_LAYERS = 4
+# social pairs per block of the backward's per-pair inner products; bounds
+# the gathered (pairs, layers, dim) temporaries
+SDDMM_CHUNK = 8192
 
 
 @dataclass
@@ -52,25 +56,65 @@ class NodeRepresentations:
         return self.readout.shape[0] - self.user_count
 
 
-def layer_readout(embeddings, layers: int, step):
-    """Layer states E, step(E), ..., step^L(E) and their mean (the readout).
-
-    step is one normalized aggregation.  Training and evaluation pass
-    `aggregation` on tape tensors; the detached original-graph branch passes
-    its cached operator on plain arrays.
-    """
+def layer_readout(embeddings: np.ndarray, layers: int, operator):
+    """Layer states E, A E, ..., A^L E and their mean (the readout)."""
     states = [embeddings]
     acc = embeddings
     for _ in range(layers):
-        states.append(step(states[-1]))
+        states.append(operator @ states[-1])
         acc = acc + states[-1]
     return states, acc / float(layers + 1)
 
 
-def aggregation(normalized: ad.Tensor, layout: EdgeLayout):
-    """One propagation step over the normalized entry values of `layout`."""
-    shape = (layout.node_count, layout.node_count)
-    return lambda state: ad.spmm(normalized, layout.rows, layout.cols, shape, state)
+def propagate(rho: Optional[ad.Tensor], embeddings: ad.Tensor,
+              layout: EdgeLayout, layers: int) -> ad.Tensor:
+    """Readout of `layers` propagations over the graph whose social weights
+    are rho (None: all 1, on the layout's cached operator), as one tape node.
+
+    With A the normalized adjacency, X_l the layer states, G the readout's
+    gradient and g_l the gradient of X_l, A's symmetry gives
+        g_L = G / (L + 1),   g_l = G / (L + 1) + A g_{l+1}.
+    The degree chain needs, per node r,
+        T_r = sum_l <g_{l+1}, X_{l+1}>_r + <A g_{l+1}, X_l>_r
+    and gives dLoss/d degree_r = -T_r / (2 max(degree_r, floor)) where the
+    degree is not floored.  Social pair (a, b) adds
+    dinv_a dinv_b sum_l (<g_{l+1}[a], X_l[b]> + <g_{l+1}[b], X_l[a]>),
+    the only per-entry products needed.
+    """
+    if rho is None:
+        operator = layout.original_normalized_csr()
+        parents = (embeddings,)
+    else:
+        degrees, dinv, normalized = renormalize(layout.entry_weights(rho.data), layout)
+        operator = layout.operator(normalized)
+        parents = (rho, embeddings)
+    states, readout = layer_readout(embeddings.data, layers, operator)
+
+    def backward(G):
+        with_rho = rho is not None and rho.requires_grad
+        share = G / float(layers + 1)
+        g, upper, T = share, [], 0.0
+        for lower, state in zip(states[-2::-1], states[:0:-1]):
+            Ag = operator @ g
+            if with_rho:
+                upper.append(g)
+                T = T + np.einsum("nd,nd->n", g, state) + np.einsum("nd,nd->n", Ag, lower)
+            g = share + Ag
+        if embeddings.requires_grad:
+            embeddings._accumulate(g)
+        if with_rho:
+            g_degree = np.where(degrees >= DEGREE_FLOOR, -0.5 * T * dinv * dinv, 0.0)
+            gs = np.stack(upper[::-1], axis=1)      # g_1 .. g_L
+            xs = np.stack(states[:-1], axis=1)      # X_0 .. X_{L-1}
+            a, b = layout.social_a, layout.social_b
+            pair = np.empty(layout.social_count)
+            for lo in range(0, layout.social_count, SDDMM_CHUNK):
+                ca, cb = a[lo:lo + SDDMM_CHUNK], b[lo:lo + SDDMM_CHUNK]
+                pair[lo:lo + SDDMM_CHUNK] = (np.einsum("kld,kld->k", gs[ca], xs[cb])
+                                             + np.einsum("kld,kld->k", gs[cb], xs[ca]))
+            rho._accumulate(pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b])
+
+    return ad._make(readout, parents, backward)
 
 
 def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentations:
@@ -78,10 +122,9 @@ def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentation
         raise DataError(
             f"embedding matrix has {table.matrix.shape[0]} rows but the graph has "
             f"{adj.node_count} nodes")
-    step = aggregation(ad.constant(adj.normalized_weights), adj.layout)
-    states, readout = layer_readout(ad.constant(table.matrix), table.layer_count, step)
-    return NodeRepresentations([s.data for s in states], readout.data,
-                               adj.layout.user_count)
+    operator = adj.layout.operator(adj.normalized_weights)
+    states, readout = layer_readout(table.matrix, table.layer_count, operator)
+    return NodeRepresentations(states, readout, adj.layout.user_count)
 
 
 def score_all_items(reps: NodeRepresentations, user: int) -> np.ndarray:

@@ -10,8 +10,9 @@ with w clamped to [1e-6, 1 - 1e-6] first, and the final weight is
     rho = min(1, relax + epsilon).
 Stochastic mode draws delta uniformly per pair; deterministic mode fixes
 delta = 0.5, which makes rho a monotone function of w alone.
-`confidences` and `relax_sample` are written on the autodiff tape; training
-records them on the parameter leaves and `denoise` runs them on constants.
+`confidences` (one fused tape op over all pairs) and `relax_sample` are
+written on the autodiff tape; training records them on the parameter leaves
+and `denoise` runs them on constants.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
+from .graph import EdgeLayout, layout_for
 
 CONFIDENCE_CLAMP = 1e-6
 DELTA_CLAMP = 1e-12
@@ -79,18 +82,54 @@ class DenoiserParams:
         )
 
 
-def confidences(embeddings: ad.Tensor, head, first, second) -> ad.Tensor:
-    """Confidence of every pair (first[k], second[k]) in canonical order.
+def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
+    """Confidence of every social pair (a, b) of `layout`, as one tape node.
 
     head is the (layer1_weight, layer1_bias, layer2_weight, layer2_bias)
-    tensors; training passes leaves, evaluation passes constants.
+    tensors; training passes leaves, evaluation passes constants.  With W1
+    split into row blocks Wa, Wb, Wc, the hidden layer
+    [e_a; e_b; e_a * e_b] W1 + b1 is computed as
+    (E Wa)[a] + (E Wb)[b] + (e_a * e_b) Wc + b1, so no pairs x 3d block is
+    built.  The backward sums per-pair gradients per user through the
+    layout's one-hot pair matrices.
     """
     W1, b1, W2, b2 = head
-    ea = ad.gather(embeddings, first)
-    eb = ad.gather(embeddings, second)
-    x = ad.concat([ea, eb, ea * eb], axis=1)
-    h = ad.tanh(x @ W1 + b1)
-    return ad.sigmoid((h @ W2 + b2).reshape(-1))
+    E, W = embeddings.data, W1.data
+    d = W.shape[1]
+    Wa, Wb, Wc = W[:d], W[d:2 * d], W[2 * d:]
+    a, b = layout.social_a, layout.social_b
+    users = E[:layout.user_count]
+    ea, eb = E[a], E[b]
+    pair = ea * eb
+    h = (users @ Wa)[a]
+    h += (users @ Wb)[b]
+    h += pair @ Wc
+    h += b1.data
+    np.tanh(h, out=h)
+    out = expit((h @ W2.data + b2.data).reshape(-1))
+
+    def backward(g):
+        gs = g * out * (1.0 - out)
+        if W2.requires_grad:
+            W2._accumulate(h.T @ gs[:, None])
+        if b2.requires_grad:
+            b2._accumulate(gs.sum(keepdims=True))
+        gz = np.multiply.outer(gs, W2.data[:, 0])
+        gz *= 1.0 - h * h
+        if b1.requires_grad:
+            b1._accumulate(gz.sum(axis=0))
+        to_a, to_b = layout.pair_scatter()
+        ga, gb = to_a @ gz, to_b @ gz
+        if W1.requires_grad:
+            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, pair.T @ gz]))
+        if embeddings.requires_grad:
+            gpair = gz @ Wc.T
+            gE = np.zeros_like(E)
+            gE[:layout.user_count] = (ga @ Wa.T + gb @ Wb.T
+                                      + to_a @ (gpair * eb) + to_b @ (gpair * ea))
+            embeddings._accumulate(gE)
+
+    return ad._make(out, (embeddings, W1, b1, W2, b2), backward)
 
 
 def relax_sample(w: ad.Tensor, delta, temperature: float,
@@ -117,7 +156,8 @@ class EdgeConfidenceMap:
         n = self.pairs.shape[0]
         if self.confidence.shape != (n,) or self.relaxed.shape != (n,):
             raise DataError("confidence map arrays must align with the pair list")
-        if n and (self.relaxed.min() < 0.0 or self.relaxed.max() > 1.0):
+        # written so that NaN fails too
+        if n and not (self.relaxed.min() >= 0.0 and self.relaxed.max() <= 1.0):
             raise DataError("relaxed weights must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -146,7 +186,7 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
         return EdgeConfidenceMap(pairs, np.empty(0), np.empty(0))
     head = tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
                                          params.layer2_weight, params.layer2_bias))
-    w = confidences(ad.constant(emb), head, pairs[:, 0], pairs[:, 1])
+    w = confidences(ad.constant(emb), head, layout_for(dataset))
     if mode == "stochastic":
         if rng is None:
             raise ConfigError("stochastic mode needs an rng")

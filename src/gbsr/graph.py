@@ -6,8 +6,8 @@ every train interaction; social entries carry a per-pair weight in [0, 1]
 (1 when no weights are supplied), interaction entries carry weight 1.
 Entries are normalized as w / sqrt(d_row * d_col) where degrees are weighted
 row sums floored at DEGREE_FLOOR, so fully down-weighted rows stay finite.
-`renormalize` is that step on the autodiff tape; training records it on the
-relaxed weights and `build_adjacency` runs it on constants.
+`renormalize` is that step on plain arrays; `backbone.propagate` runs it
+inside its fused tape op and `build_adjacency` runs it for evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from . import autodiff as ad
 from .data import Dataset
 from .errors import DataError
 
@@ -29,7 +28,10 @@ class EdgeLayout:
 
     Entry order: social pairs (a -> b), social pairs (b -> a), interactions
     (user -> item), interactions (item -> user).  A weight vector for the
-    social pairs expands into the full entry value vector via values().
+    social pairs expands into the full entry weight vector via
+    entry_weights().  The CSR structure of the adjacency and the one-hot
+    pair matrices are built on first use, so evaluation never pays for the
+    ones only a backward pass needs.
     """
 
     def __init__(self, dataset: Dataset):
@@ -46,38 +48,59 @@ class EdgeLayout:
         self.node_count = dataset.node_count
         self.user_count = M
         self.item_count = dataset.item_count
-        self._original_values: Optional[np.ndarray] = None
+        self._csr_structure = None
+        self._pair_scatter = None
         self._original_csr: Optional[sp.csr_matrix] = None
 
-    def values(self, social_weights: ad.Tensor) -> ad.Tensor:
+    def entry_weights(self, social_weights: np.ndarray) -> np.ndarray:
+        """Weights of every entry in layout order; interactions weigh 1."""
         if social_weights.shape != (self.social_count,):
             raise DataError("social weight vector does not match the social pair count")
-        ones = ad.constant(np.ones(self.interaction_count))
-        return ad.concat([social_weights, social_weights, ones, ones], axis=0)
+        ones = np.ones(2 * self.interaction_count)
+        return np.concatenate([social_weights, social_weights, ones])
 
-    def original_values(self) -> ad.Tensor:
-        """Normalized entry values with every social weight at 1, computed
-        once per layout and handed out as a read-only constant."""
-        if self._original_values is None:
-            ones = ad.constant(np.ones(self.social_count))
-            self._original_values = renormalize(self.values(ones), self)[1].data
-            self._original_values.flags.writeable = False
-        return ad.constant(self._original_values)
+    def operator(self, normalized: np.ndarray) -> sp.csr_matrix:
+        """The matrix with entry values `normalized` (layout order) on the
+        layout's one CSR structure.  Entries are ordered by (row, column), as
+        `csr_matrix((values, (rows, cols)))` orders them, so products match
+        that construction bit for bit."""
+        shape = (self.node_count, self.node_count)
+        if self._csr_structure is None:
+            order = np.lexsort((self.cols, self.rows))
+            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.rows, minlength=self.node_count), out=indptr[1:])
+            template = sp.csr_matrix((np.zeros(order.size), self.cols[order], indptr),
+                                     shape=shape)
+            self._csr_structure = (order, template.indices, template.indptr)
+        order, indices, indptr = self._csr_structure
+        return sp.csr_matrix((normalized[order], indices, indptr), shape=shape)
 
     def original_normalized_csr(self) -> sp.csr_matrix:
         """The all-ones graph's normalized operator, built once per layout."""
         if self._original_csr is None:
-            self._original_csr = sp.csr_matrix(
-                (self.original_values().data, (self.rows, self.cols)),
-                shape=(self.node_count, self.node_count))
+            ones = self.entry_weights(np.ones(self.social_count))
+            self._original_csr = self.operator(renormalize(ones, self)[2])
+            self._original_csr.data.flags.writeable = False
         return self._original_csr
 
+    def pair_scatter(self):
+        """One-hot (user_count x social_count) matrices of the pairs' first
+        and second users: `P @ X` sums the rows of X per user."""
+        if self._pair_scatter is None:
+            k = np.arange(self.social_count)
+            shape = (self.user_count, self.social_count)
+            self._pair_scatter = tuple(
+                sp.csr_matrix((np.ones(k.size), (users, k)), shape=shape)
+                for users in (self.social_a, self.social_b))
+        return self._pair_scatter
 
-def renormalize(values: ad.Tensor, layout: EdgeLayout):
-    """(degrees, normalized entry values) for entry values in layout order."""
-    degrees = ad.scatter_sum(values, layout.rows, layout.node_count)
-    dinv = ad.maximum(degrees, DEGREE_FLOOR) ** -0.5
-    return degrees, (values * ad.gather(dinv, layout.rows)) * ad.gather(dinv, layout.cols)
+
+def renormalize(weights: np.ndarray, layout: EdgeLayout):
+    """(degrees, floored degrees^-1/2, normalized entry values) for entry
+    weights in layout order."""
+    degrees = np.bincount(layout.rows, weights=weights, minlength=layout.node_count)
+    dinv = np.power(np.maximum(degrees, DEGREE_FLOOR), -0.5)
+    return degrees, dinv, (weights * dinv[layout.rows]) * dinv[layout.cols]
 
 
 class WeightedAdjacency:
@@ -89,9 +112,7 @@ class WeightedAdjacency:
         self.rows = layout.rows
         self.cols = layout.cols
         self.weights = weights
-        degrees, normalized = renormalize(ad.constant(weights), layout)
-        self.degrees = degrees.data
-        self.normalized_weights = normalized.data
+        self.degrees, _, self.normalized_weights = renormalize(weights, layout)
 
 
 def layout_for(dataset: Dataset) -> EdgeLayout:
@@ -114,9 +135,10 @@ def build_adjacency(dataset: Dataset, social_weights=None) -> WeightedAdjacency:
         w = np.ones(layout.social_count)
     else:
         w = _extract_social_weights(dataset, social_weights)
-    if w.size and (np.min(w) < 0.0 or np.max(w) > 1.0):
+    # written so that NaN fails too
+    if w.size and not (np.min(w) >= 0.0 and np.max(w) <= 1.0):
         raise DataError("social weights must lie in [0, 1]")
-    return WeightedAdjacency(layout, layout.values(ad.constant(w)).data)
+    return WeightedAdjacency(layout, layout.entry_weights(w))
 
 
 def _extract_social_weights(dataset: Dataset, social_weights) -> np.ndarray:

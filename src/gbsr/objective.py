@@ -1,14 +1,16 @@
 """Training objective: pairwise ranking loss, kernel bottleneck, L2 anchor.
 
 `gradients` records the entire training computation on the autodiff tape,
-composing the stage functions of `denoiser`, `graph`, `backbone` and `hsic`
-(the same functions evaluation runs on constants):
+composing the stage functions of `denoiser`, `backbone` and `hsic` (the same
+functions evaluation runs on constants):
 
     E0 rows -> pair confidences -> relaxed social weights -> degree
-    renormalization -> L-layer propagation (denoised graph) -> batch scores
-    -> BPR;  E0 -> propagation (original graph) -> HSIC against the denoised
-    user rows;  plus the L2 term on E0.
+    renormalization, L-layer propagation and readout (denoised graph) ->
+    batch scores -> BPR;  E0 -> propagation (original graph) -> HSIC against
+    the denoised user rows;  plus the L2 term on E0.
 
+The confidences and the renormalized propagation are one tape op each
+(`denoiser.confidences`, `backbone.propagate`) with a hand-written backward,
 so every parameter gradient, including the path through the confidence MLP
 into the graph normalization, is exact.  The original-graph branch
 contributes gradients too unless detach_original is set, in which case
@@ -24,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from . import backbone, denoiser, graph, hsic
+from . import backbone, denoiser, hsic
 from .denoiser import DenoiserParams
 from .errors import ConfigError, DataError, NumericError
 from .graph import EdgeLayout
@@ -47,9 +49,7 @@ class LossBreakdown:
 def plain_original_readout(embeddings: np.ndarray, layout: EdgeLayout,
                            layers: int) -> np.ndarray:
     """Readout on the all-ones social graph without touching the tape."""
-    csr = layout.original_normalized_csr()
-    E = np.asarray(embeddings, dtype=np.float64)
-    return backbone.layer_readout(E, layers, lambda state: csr @ state)[1]
+    return backbone.propagate(None, ad.constant(embeddings), layout, layers).data
 
 
 def gradients(embeddings: np.ndarray, params: DenoiserParams,
@@ -91,14 +91,12 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
 
     # social confidences and relaxed weights, then the denoised graph
     if layout.social_count:
-        conf = denoiser.confidences(E0, (W1, b1, W2, b2),
-                                    layout.social_a, layout.social_b)
+        conf = denoiser.confidences(E0, (W1, b1, W2, b2), layout)
         rho = denoiser.relax_sample(conf, deltas, params.temperature,
                                     params.observation_bias)
     else:
         rho = ad.constant(np.empty(0))
-    _, nvals = graph.renormalize(layout.values(rho), layout)
-    _, readout = backbone.layer_readout(E0, layers, backbone.aggregation(nvals, layout))
+    readout = backbone.propagate(rho, E0, layout, layers)
 
     # ranking loss on the batch
     u = ad.gather(readout, users)
@@ -113,8 +111,7 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
         if detach_original:
             orig = ad.constant(plain_original_readout(embeddings, layout, layers))
         else:
-            step = backbone.aggregation(layout.original_values(), layout)
-            _, orig = backbone.layer_readout(E0, layers, step)
+            orig = backbone.propagate(None, E0, layout, layers)
         ib = hsic.bottleneck(readout, orig, users, sigma_sq, kernel_normalize)
         total = (rec + reg * reg_lambda) + ib * beta
         ib_value = float(ib.data)

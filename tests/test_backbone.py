@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gbsr.backbone import MAX_LAYERS, EmbeddingTable, forward, score_all_items
+from conftest import central_diff
+
+from gbsr import autodiff as ad
+from gbsr import graph
+from gbsr.backbone import (MAX_LAYERS, EmbeddingTable, forward, propagate,
+                           score_all_items)
 from gbsr.data import Dataset
 from gbsr.errors import ConfigError, DataError
-from gbsr.graph import build_adjacency
+from gbsr.graph import DEGREE_FLOOR, build_adjacency
 
 
 def normalized_matrix(adj):
@@ -127,3 +132,105 @@ class TestValidation:
         adj = build_adjacency(tiny_dataset)
         with pytest.raises(DataError):
             forward(EmbeddingTable(np.zeros((4, 2)), 1), adj)
+
+
+def generic_readout(rho, E0, layout, layers):
+    """The propagation written as a chain of generic tape ops: degrees by
+    scatter_sum, the floored inverse root, the normalized values by gathers,
+    then one spmm per layer and the mean."""
+    n = layout.node_count
+    ones = ad.constant(np.ones(2 * layout.interaction_count))
+    values = ad.concat([rho, rho, ones])
+    degrees = ad.scatter_sum(values, layout.rows, n)
+    dinv = ad.maximum(degrees, DEGREE_FLOOR) ** -0.5
+    normalized = (values * ad.gather(dinv, layout.rows)) * ad.gather(dinv, layout.cols)
+    acc = state = E0
+    for _ in range(layers):
+        state = ad.spmm(normalized, layout.rows, layout.cols, (n, n), state)
+        acc = acc + state
+    return acc / float(layers + 1)
+
+
+def propagation_cases():
+    """(name, dataset, social weights): a random graph, one without social
+    pairs, and two where user 3's only edges are social and weigh 0 or lie
+    below DEGREE_FLOOR in total."""
+    rng = np.random.default_rng(8)
+    train = sorted({(u, int(rng.integers(0, 4))) for u in range(5)}
+                   | {(int(rng.integers(0, 5)), int(rng.integers(0, 4))) for _ in range(6)})
+    social = [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]
+    floor_ds = Dataset(4, 2, [(0, 0), (1, 1), (2, 0)], [], [(0, 1), (1, 3), (2, 3)])
+    return [
+        ("random", Dataset(5, 4, train, [], social), rng.uniform(0.1, 0.9, size=5)),
+        ("no_social", Dataset(3, 2, [(0, 0), (1, 1), (2, 0)], [], []), np.empty(0)),
+        ("zero_weight", floor_ds, np.array([0.6, 0.0, 0.0])),
+        ("below_floor", floor_ds, np.array([0.6, 1e-13, 1e-13])),
+    ]
+
+
+class TestPropagateOp:
+    """backbone.propagate against central differences, the generic tape
+    chain, and a csr_matrix product chain."""
+
+    @pytest.mark.parametrize("layers", range(1, MAX_LAYERS + 1))
+    @pytest.mark.parametrize("name,ds,rho", propagation_cases(),
+                             ids=[c[0] for c in propagation_cases()])
+    def test_gradients(self, name, ds, rho, layers):
+        layout = graph.layout_for(ds)
+        rng = np.random.default_rng(layers)
+        E0 = rng.standard_normal((ds.node_count, 3))
+        W = rng.standard_normal((ds.node_count, 3))
+        rho = rho.copy()
+
+        def loss(r, e):
+            return float((propagate(ad.constant(r), ad.constant(e), layout, layers).data * W).sum())
+
+        rho_t = ad.Tensor(rho, requires_grad=True)
+        E_t = ad.Tensor(E0, requires_grad=True)
+        (propagate(rho_t, E_t, layout, layers) * W).sum().backward()
+        np.testing.assert_allclose(E_t.grad, central_diff(lambda: loss(rho, E0), E0),
+                                   rtol=1e-6, atol=1e-8)
+        if rho.size:
+            # below the floor a weight's value is linear in rho until the
+            # degree reaches the floor, so those entries take a tiny step
+            tiny = rho < 1e-9
+            for k in range(rho.size):
+                h = 1e-16 if tiny[k] else 1e-6
+                up, down = rho.copy(), rho.copy()
+                up[k] += h
+                down[k] -= h
+                fd = (loss(up, E0) - loss(down, E0)) / (2.0 * h)
+                assert rho_t.grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-7), k
+
+        # the same gradients through the generic op chain
+        rho_g = ad.Tensor(rho, requires_grad=True)
+        E_g = ad.Tensor(E0, requires_grad=True)
+        (generic_readout(rho_g, E_g, layout, layers) * W).sum().backward()
+        np.testing.assert_allclose(E_t.grad, E_g.grad, rtol=1e-12, atol=1e-14)
+        if rho.size:
+            np.testing.assert_allclose(rho_t.grad, rho_g.grad, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("layers", range(1, MAX_LAYERS + 1))
+    def test_forward_bitwise_equals_csr_chain(self, layers):
+        name, ds, rho = propagation_cases()[0]
+        layout = graph.layout_for(ds)
+        E0 = np.random.default_rng(layers).standard_normal((ds.node_count, 5))
+        got = propagate(ad.constant(rho), ad.constant(E0), layout, layers).data
+
+        rows, cols, n = layout.rows, layout.cols, ds.node_count
+        w = np.concatenate([rho, rho, np.ones(2 * layout.interaction_count)])
+        dinv = np.power(np.maximum(np.bincount(rows, weights=w, minlength=n), 1e-12), -0.5)
+        A = sp.csr_matrix(((w * dinv[rows]) * dinv[cols], (rows, cols)), shape=(n, n))
+        acc = state = E0
+        for _ in range(layers):
+            state = A @ state
+            acc = acc + state
+        np.testing.assert_array_equal(got, acc / float(layers + 1))
+
+    def test_all_ones_branch_matches_unit_weights(self):
+        name, ds, rho = propagation_cases()[0]
+        layout = graph.layout_for(ds)
+        E0 = np.random.default_rng(1).standard_normal((ds.node_count, 2))
+        ones = propagate(ad.constant(np.ones(rho.size)), ad.constant(E0), layout, 3)
+        np.testing.assert_array_equal(
+            propagate(None, ad.constant(E0), layout, 3).data, ones.data)

@@ -5,7 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+from conftest import central_diff
+
 from gbsr import autodiff as ad
+from gbsr import graph
 from gbsr.data import Dataset
 from gbsr.denoiser import (CONFIDENCE_CLAMP, DenoiserParams, EdgeConfidenceMap,
                            confidence_csv, confidences, denoise, relax_sample)
@@ -23,10 +26,12 @@ def head_of(params):
 
 
 def pair_confidences(params, ea, eb):
-    """Confidences of the stacked pairs (ea[k], eb[k]) on constants."""
+    """Confidences of the stacked pairs (ea[k], eb[k]) on constants: user k
+    is ea[k], user n + k is eb[k], and (k, n + k) are the social pairs."""
     n = ea.shape[0]
+    ds = Dataset(2 * n, 1, train=[], test=[], social=[(k, n + k) for k in range(n)])
     emb = ad.constant(np.concatenate([ea, eb]))
-    return confidences(emb, head_of(params), np.arange(n), n + np.arange(n)).data
+    return confidences(emb, head_of(params), graph.layout_for(ds)).data
 
 
 def relax(w, delta, temperature):
@@ -69,6 +74,41 @@ class TestConfidenceHead:
         p = DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)),
                            np.zeros(1))
         assert pair_confidences(p, np.ones((1, 4)), np.ones((1, 4)))[0] == 0.5
+
+
+class TestConfidenceOp:
+    """The fused confidence op's backward, for all five parents, against
+    central differences and against the generic gather/concat/matmul chain."""
+
+    def test_all_parents(self):
+        # users 0-3 sit in two pairs each; rows 4-5 are items, in no pair
+        ds = Dataset(4, 2, train=[(0, 0)], test=[],
+                     social=[(0, 1), (0, 2), (1, 3), (2, 3)])
+        layout = graph.layout_for(ds)
+        rng = np.random.default_rng(6)
+        params = DenoiserParams.init(3, rng, scale=0.5)
+        arrays = [rng.standard_normal((6, 3)), params.layer1_weight, params.layer1_bias,
+                  params.layer2_weight, params.layer2_bias]
+        w = rng.standard_normal(4)
+
+        def loss():
+            consts = [ad.constant(x) for x in arrays]
+            return float((confidences(consts[0], consts[1:], layout).data * w).sum())
+
+        fused = [ad.Tensor(x, requires_grad=True) for x in arrays]
+        (confidences(fused[0], fused[1:], layout) * w).sum().backward()
+        generic = [ad.Tensor(x, requires_grad=True) for x in arrays]
+        E, (W1, b1, W2, b2) = generic[0], generic[1:]
+        ea, eb = ad.gather(E, layout.social_a), ad.gather(E, layout.social_b)
+        h = ad.tanh(ad.concat([ea, eb, ea * eb], axis=1) @ W1 + b1)
+        (ad.sigmoid(h @ W2 + b2) * w[:, None]).sum().backward()
+
+        for k, (x, f, g) in enumerate(zip(arrays, fused, generic)):
+            np.testing.assert_allclose(f.grad, central_diff(loss, x), rtol=1e-6,
+                                       atol=1e-9, err_msg=f"parent {k}")
+            np.testing.assert_allclose(f.grad, g.grad, rtol=1e-12, atol=1e-15,
+                                       err_msg=f"parent {k}")
+        np.testing.assert_array_equal(fused[0].grad[4:], 0.0)
 
 
 class TestParams:
@@ -217,6 +257,13 @@ class TestMap:
         with pytest.raises(DataError):
             EdgeConfidenceMap(np.array([[0, 2]]), np.array([0.3]),
                               np.array([1.4]))
+
+
+    def test_non_finite_relaxed_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="relaxed"):
+                EdgeConfidenceMap(np.array([[0, 2], [1, 2]]), np.array([0.3, 0.4]),
+                                  np.array([0.5, bad]))
 
 
 class TestCsv:

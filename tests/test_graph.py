@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gbsr import autodiff as ad
-from gbsr.backbone import EmbeddingTable, aggregation, forward
+from gbsr.backbone import EmbeddingTable, forward
 from gbsr.data import Dataset
 from gbsr.errors import DataError
 from gbsr.graph import (DEGREE_FLOOR, EdgeLayout, WeightedAdjacency,
@@ -23,8 +22,7 @@ def normalized_dense(adj):
 
 def propagate(adj, E):
     """One aggregation step of the backbone on plain arrays."""
-    step = aggregation(ad.constant(adj.normalized_weights), adj.layout)
-    return step(ad.constant(E)).data
+    return forward(EmbeddingTable(E, 1), adj).layers[1]
 
 
 def two_user_one_item():
@@ -91,7 +89,7 @@ class TestLayout:
 
     def test_values_layout(self, tiny_dataset):
         lay = EdgeLayout(tiny_dataset)
-        v = lay.values(ad.constant(np.array([0.25, 0.75]))).data
+        v = lay.entry_weights(np.array([0.25, 0.75]))
         assert v.tolist() == [0.25, 0.75, 0.25, 0.75] + [1.0] * 8
 
     def test_layout_cached_per_dataset(self, tiny_dataset):
@@ -100,14 +98,14 @@ class TestLayout:
     def test_original_values_match_unit_weights(self, tiny_dataset):
         lay = layout_for(tiny_dataset)
         ones = WeightedAdjacency(lay, np.ones(lay.rows.size))
-        np.testing.assert_array_equal(lay.original_values().data,
-                                      ones.normalized_weights)
-        np.testing.assert_allclose(lay.original_normalized_csr().toarray(),
-                                   normalized_dense(ones), rtol=0, atol=0)
-        assert lay.original_normalized_csr() is lay.original_normalized_csr()
-        # the values are computed once and shared read-only across calls
-        assert lay.original_values().data is lay.original_values().data
-        assert not lay.original_values().data.flags.writeable
+        csr = lay.original_normalized_csr()
+        np.testing.assert_array_equal(csr.data,
+                                      lay.operator(ones.normalized_weights).data)
+        np.testing.assert_allclose(csr.toarray(), normalized_dense(ones),
+                                   rtol=0, atol=0)
+        # the operator is built once and shared read-only across calls
+        assert lay.original_normalized_csr() is csr
+        assert not csr.data.flags.writeable
 
 
 class TestAgainstDenseOracle:
@@ -173,6 +171,20 @@ class TestValidation:
             build_adjacency(tiny_dataset, np.array([0.5, 1.5]))
         with pytest.raises(DataError):
             build_adjacency(tiny_dataset, np.array([-0.1, 0.5]))
+
+    def test_nan_weight_rejected(self, tiny_dataset):
+        # NaN compares false both ways, so a plain out-of-range test lets it
+        # through and it spreads over every neighbour's normalized entries
+        for bad in (np.array([np.nan, 0.5]), np.array([0.5, np.inf])):
+            with pytest.raises(DataError, match=r"\[0, 1\]"):
+                build_adjacency(tiny_dataset, bad)
+
+        class Map:
+            pairs = tiny_dataset.social_pairs
+            relaxed = np.array([0.5, np.nan])
+
+        with pytest.raises(DataError):
+            build_adjacency(tiny_dataset, Map())
 
     def test_weight_length_mismatch(self, tiny_dataset):
         with pytest.raises(DataError):

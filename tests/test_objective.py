@@ -9,12 +9,14 @@ matrix), which shares no code with the library's stage functions.
 import numpy as np
 import pytest
 
+from gbsr import autodiff as ad
 from gbsr import graph, hsic, objective
 from gbsr.data import Dataset
 from gbsr.denoiser import DenoiserParams
 from gbsr.errors import ConfigError, DataError, NumericError
 from gbsr.objective import (MARGIN_CLAMP, PARAM_BLOCKS, gradients,
                             plain_original_readout)
+from gbsr.trainer import TrainConfig
 
 from conftest import central_diff, rel_err
 
@@ -297,6 +299,35 @@ class TestGradients:
         assert np.any(grads["embeddings"] != 0.0)
         # no social pairs -> nothing for the confidence head to learn from
         np.testing.assert_array_equal(grads["layer1_weight"], 0.0)
+
+
+class TestTapeSize:
+    """Tape nodes (op results that carry a gradient) recorded by one
+    `gradients` call, counted the way the benchmark's traced run counts
+    them.  Each all-edge stage is one node; splitting one back into
+    per-op nodes changes these counts."""
+
+    @pytest.mark.parametrize("detach_original,nodes", [(False, 87), (True, 58)],
+                             ids=["paper_config", "detached_config"])
+    def test_nodes_per_call(self, monkeypatch, detach_original, nodes):
+        make = ad._make
+        count = []
+
+        def counting_make(data, parents, backward):
+            node = make(data, parents, backward)
+            if node.requires_grad:
+                count.append(node)
+            return node
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        config = TrainConfig(detach_original=detach_original)
+        assert config.layers == 3
+        ds, layout, E, params, batch, deltas = make_instance()
+        gradients(E, params, layout, batch, deltas, layers=config.layers,
+                  beta=config.beta, reg_lambda=config.reg_lambda,
+                  sigma_sq=config.sigma_sq, detach_original=detach_original,
+                  kernel_normalize=config.kernel_normalize)
+        assert len(count) == nodes
 
 
 class TestGradientValidation:
