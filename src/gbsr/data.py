@@ -9,7 +9,10 @@ self-loops are dropped.
 
 Interactions and social edges stay (n, 2) int64 arrays from the file reader
 to the split; a Dataset stores them sorted and read-only, and its per-user
-item arrays are views into that storage.
+item arrays are views into that storage.  The reader parses a file in one
+np.loadtxt call when it can, and line by line with Python's int()
+otherwise; only the line loop reports a ParseError, so both give the same
+rows and the same errors.
 
 The train/test split is per user: each user's interactions are shuffled and
 the first max(1, floor(ratio * n)) go to train, the rest to test.  A user with
@@ -19,6 +22,7 @@ a single interaction therefore always keeps it in train.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Tuple
@@ -140,9 +144,20 @@ def _as_pair_array(pairs) -> np.ndarray:
     elif arr.ndim != 2 or arr.shape[1] != 2:
         raise DataError("edge collection must be a sequence of (int, int) pairs")
     else:
-        arr = np.unique(arr, axis=0)  # sorts lexicographically and drops duplicates
+        arr = arr[_distinct_rows(arr)]
     arr.flags.writeable = False
     return arr
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of each distinct row's first appearance in an (n, 2) array, in
+    lexicographic order of the rows."""
+    # lexsort is stable, so each run of equal rows starts at its first index
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    ordered = rows[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[first]
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -150,15 +165,42 @@ def _as_pair_array(pairs) -> np.ndarray:
 # raw ids must fit int64 (python ints, so the per-line check stays cheap)
 _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1
 
+# the bytes a file may hold for the vectorized parse: digits, signs, space,
+# tab and line ends; anything else (underscores, other whitespace, non-ASCII
+# digits) goes to the line loop, which applies int()'s own rules.  Within
+# them np.loadtxt rejects what int() rejects or what overflows int64, except
+# that some numpy releases parse an overflowing field as a float and only
+# warn; _parse_vectorized turns that warning into a fall-back as well
+_VECTOR_BYTES = np.zeros(256, dtype=bool)
+_VECTOR_BYTES[np.frombuffer(b"0123456789+- \t\r\n", dtype=np.uint8)] = True
 
-def _read_edge_file(path) -> np.ndarray:
-    """Distinct (a, b) rows of an edge file as an (n, 2) int64 array, in
-    order of first appearance."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing input file: {p}")
+
+def _parse_vectorized(text: str, lines: List[str]):
+    """The non-blank lines as (n, 2) int64 rows, or None when the line loop
+    must decide: bytes outside the vectorized set, no rows, a line
+    np.loadtxt rejects, or a row count other than the non-blank lines'."""
+    if not (text.isascii() and _VECTOR_BYTES[np.frombuffer(text.encode("ascii"),
+                                                            dtype=np.uint8)].all()):
+        return None
+    count = sum(map(bool, map(str.strip, lines)))
+    if count == 0:
+        return None
+    try:
+        # any warning (such as an integer read via a float) means a field
+        # np.loadtxt did not parse as int64, whatever the caller's filters
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return rows if rows.shape == (count, 2) else None
+
+
+def _parse_lines(p: Path, lines: List[str]) -> np.ndarray:
+    """The non-blank lines as (n, 2) int64 rows, one line at a time; raises
+    ParseError with the number of the first malformed line."""
     values: List[int] = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -172,11 +214,23 @@ def _read_edge_file(path) -> np.ndarray:
             raise ParseError(p, lineno, f"id outside the int64 range "
                                         f"[{_ID_MIN}, {_ID_MAX}] in {line!r}")
         values += (a, b)
-    if not values:
+    return np.array(values, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_edge_file(path) -> np.ndarray:
+    """Distinct (a, b) rows of an edge file as an (n, 2) int64 array, in
+    order of first appearance."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"missing input file: {p}")
+    text = p.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    rows = _parse_vectorized(text, lines)
+    if rows is None:
+        rows = _parse_lines(p, lines)
+    if not rows.size:
         raise DataError(f"empty input file: {p}")
-    rows = np.array(values, dtype=np.int64).reshape(-1, 2)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    return rows[np.sort(first)]
+    return rows[np.sort(_distinct_rows(rows))]
 
 
 def _first_appearance_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:

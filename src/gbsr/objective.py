@@ -9,13 +9,15 @@ functions evaluation runs on constants):
     batch scores -> BPR;  E0 -> propagation (original graph) -> HSIC against
     the denoised user rows;  plus the L2 term on E0.
 
-The confidences and the renormalized propagation are one tape op each
-(`denoiser.confidences`, `backbone.propagate`) with a hand-written backward,
-so every parameter gradient, including the path through the confidence MLP
-into the graph normalization, is exact.  The original-graph branch
-contributes gradients too unless detach_original is set, in which case
-`plain_original_readout` computes it off the tape and it is held constant.
-With beta == 0 the HSIC branch is never built or evaluated.
+The confidences, the renormalized propagation and the HSIC bottleneck are
+one tape op each (`denoiser.confidences`, `backbone.propagate`,
+`hsic.bottleneck`) with a hand-written backward, so every parameter
+gradient, including the path through the confidence MLP into the graph
+normalization, is exact.  The original-graph branch contributes gradients
+too unless detach_original is set, in which case `plain_original_readout`
+computes it off the tape, it is held constant and the bottleneck's backward
+skips that side.  With beta == 0 the HSIC branch is never built or
+evaluated.
 """
 
 from __future__ import annotations

@@ -304,6 +304,16 @@ class TestErrors:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore")
+    def test_id_outside_int64_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "i.tsv").write_text("1\t5\n9223372036854775808\t6\n")
+        (tmp_path / "s.tsv").write_text("1\t2\n")
+        code = main(["train", "--interactions", str(tmp_path / "i.tsv"),
+                     "--social", str(tmp_path / "s.tsv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "i.tsv:2: id outside the int64 range" in capsys.readouterr().err
+
     def test_unknown_flag_is_exit_1(self, tmp_path):
         assert main(["train", "--does-not-exist", "1"]) == 1
 

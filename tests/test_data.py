@@ -1,8 +1,11 @@
 """Ingestion, splitting, sampling, and synthetic-generation contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from gbsr import data
 from gbsr.data import (NEGATIVE_RETRY_BOUND, Dataset, SyntheticSpec,
                        generate_synthetic, interactions_text, load_dataset,
                        noise_labels_text, sample_batch_arrays, social_text)
@@ -169,6 +172,112 @@ class TestReferenceLoad:
         for u in range(users):
             assert ds.train_items_of(u).tolist() == [i for v, i in train if v == u]
             assert ds.test_items_of(u).tolist() == [i for v, i in test if v == u]
+
+
+def line_loop(text):
+    """An edge file read one line at a time with Python's int(): its rows,
+    or the number of its first malformed line."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            a, b = (int(field) for field in line.split("\t"))
+        except ValueError:
+            return lineno
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (a, b)):
+            return lineno
+        rows.append((a, b))
+    return rows
+
+
+# interaction file contents; the vectorized parse must take the cases in
+# VECTORIZED and leave the rest to the line loop
+INGEST_CASES = {
+    "hash_line": "1\t5\n# comment\n2\t6\n",
+    "hash_after_value": "1\t5 # note\n",
+    "plus_sign": "+3\t5\n1\t+6\n",
+    "underscore": "1_0\t5\n2\t6\n",
+    "padded_spaces": " 3 \t  5\n2\t6 \n  -4\t 7\n",
+    "trailing_tab": "1\t5\n2\t6\t\n",
+    "one_column": "1\n2\n",
+    "overflow": "1\t5\n9223372036854775808\t6\n",
+    "negative_overflow": "1\t-9223372036854775809\n",
+    "int64_extremes": "-9223372036854775808\t9223372036854775807\n",
+    "float": "1\t5\n1.0\t6\n",
+    "form_feed_break": "1\t5\x0c2\t6\n",
+    "form_feed_trailing": "1\t5\x0c\n2\t6\n",
+    "vertical_tab_break": "1\x0b\t5\n",
+    "unit_separator": "1\x1f\t5\n",
+    "no_break_space": "\xa01\t5\n",
+    "arabic_indic_digit": "\u0661\t5\n",
+    "crlf": "1\t5\r\n2\t6\r\n",
+    "cr_only": "1\t5\r2\t6\r",
+    "empty_lines": "\n\n1\t5\n\n2\t6\n\n",
+    "blank_lines": "1\t5\n  \n\t\n2\t6\n",
+    "duplicates": "1\t5\n2\t6\n1\t5\n2\t6\n3\t5\n",
+}
+VECTORIZED = {"plus_sign", "padded_spaces", "int64_extremes", "crlf", "cr_only",
+              "empty_lines", "duplicates"}
+
+
+class TestIngestionPaths:
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_matches_line_loop(self, tmp_path, name):
+        text = INGEST_CASES[name]
+        inter, social = tmp_path / "i.tsv", tmp_path / "s.tsv"
+        inter.write_bytes(text.encode("utf-8"))
+        write_edges(social, [(1, 2)])
+        want = line_loop(text)
+        if isinstance(want, int):
+            with pytest.raises(ParseError, match=rf"i\.tsv:{want}: "):
+                load_dataset(inter, social, split_ratio=1.0, seed=0)
+        else:
+            ds = load_dataset(inter, social, split_ratio=1.0, seed=0)
+            users, items, train, test, soc = reference_load(want, [(1, 2)], 1.0, 0)
+            assert (ds.user_count, ds.item_count) == (users, items)
+            assert ds.train_pairs.tolist() == train and test == []
+            assert ds.social_pairs.tolist() == soc
+
+        fast = data._parse_vectorized(text, text.splitlines())
+        assert (fast is not None) == (name in VECTORIZED)
+        if fast is not None:
+            assert fast.tolist() == [list(row) for row in want]
+
+    # python ignores DeprecationWarning outside __main__, so the command line
+    # runs with the "ignore" filter, not the suite's "error"
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("name", ["overflow", "negative_overflow"])
+    def test_overflow_is_parse_error_when_warnings_are_ignored(self, tmp_path, name):
+        inter, social = tmp_path / "i.tsv", tmp_path / "s.tsv"
+        inter.write_text(INGEST_CASES[name])
+        write_edges(social, [(1, 2)])
+        with pytest.raises(ParseError, match=r"id outside the int64 range"):
+            load_dataset(inter, social)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_loadtxt_warning_sends_file_to_line_loop(self, tmp_path, monkeypatch):
+        # numpy releases that read an overflowing integer through a float
+        # warn and return a wrapped value; the loader must not keep it
+        def loadtxt_via_float(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return np.array([[1, 5], [-2 ** 63, 6]], dtype=np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        text = INGEST_CASES["overflow"]
+        assert data._parse_vectorized(text, text.splitlines()) is None
+        inter, social = tmp_path / "i.tsv", tmp_path / "s.tsv"
+        inter.write_text(text)
+        write_edges(social, [(1, 2)])
+        with pytest.raises(ParseError, match=r"i\.tsv:2: id outside the int64 range"):
+            load_dataset(inter, social)
+
+    def test_distinct_rows_keep_first_appearance(self, tmp_path):
+        rows = [(5, 1), (2, 9), (5, 1), (-3, 4), (2, 9), (2, 8), (-3, 4)]
+        write_edges(tmp_path / "i.tsv", rows)
+        np.testing.assert_array_equal(data._read_edge_file(tmp_path / "i.tsv"),
+                                      list(dict.fromkeys(rows)))
 
 
 class TestSplit:

@@ -1,9 +1,13 @@
-"""Kernel dependence estimator checked against its definitional trace form."""
+"""Kernel dependence estimator checked against its definitional trace form,
+and the bottleneck op against central differences and the generic tape
+chain it replaces."""
 
 import math
 
 import numpy as np
 import pytest
+
+from conftest import central_diff
 
 from gbsr import autodiff as ad
 from gbsr import hsic
@@ -12,7 +16,7 @@ from gbsr.hsic import hsic_estimate, rbf_kernel
 
 
 def normalize_rows(X):
-    return hsic.normalize_rows(ad.constant(X)).data
+    return hsic._normalize_rows(X)[0]
 
 
 def bottleneck(X, Y, users, sigma_sq, normalize=True):
@@ -154,9 +158,17 @@ class TestBottleneckLoss:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((6, 3))
         Y = rng.standard_normal((6, 3))
-        a = bottleneck(X, Y, np.array([0, 2, 5]), 1.0)
-        b = bottleneck(X, Y, np.array([5, 0, 2, 2, 0, 5]), 1.0)
+        runs = []
+        for users in (np.array([0, 2, 5]), np.array([5, 0, 2, 2, 0, 5])):
+            Xt = ad.Tensor(X, requires_grad=True)
+            Yt = ad.Tensor(Y, requires_grad=True)
+            out = hsic.bottleneck(Xt, Yt, users, 1.0)
+            out.backward()
+            runs.append((float(out.data), Xt.grad, Yt.grad))
+        (a, gxa, gya), (b, gxb, gyb) = runs
         assert a == b
+        np.testing.assert_array_equal(gxa, gxb)
+        np.testing.assert_array_equal(gya, gyb)
 
     def test_scale_invariant_when_normalized(self):
         rng = np.random.default_rng(11)
@@ -188,3 +200,117 @@ class TestBottleneckLoss:
         X = np.zeros((4, 2))
         with pytest.raises(DataError, match="distinct"):
             bottleneck(X, X, np.array([2, 2, 2]), 1.0)
+
+
+def chain_bottleneck(X, Y, batch_users, sigma_sq, normalize=True):
+    """The bottleneck as a chain of generic tape ops, one node per step."""
+    def unit_rows(Z):
+        return Z * ((Z * Z).sum(axis=1, keepdims=True) + 1e-24) ** -0.5
+
+    def kernel(Z):
+        n = Z.shape[0]
+        sq = (Z * Z).sum(axis=1, keepdims=True)
+        d2 = ad.maximum(sq + sq.T - (Z @ Z.T) * 2.0, 0.0)
+        d2 = d2 * (np.ones((n, n)) - np.eye(n))
+        return ad.exp(-d2 / (2.0 * sigma_sq))
+
+    def center(K):
+        return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+    users = np.unique(batch_users)
+    X, Y = ad.gather(X, users), ad.gather(Y, users)
+    if normalize:
+        X, Y = unit_rows(X), unit_rows(Y)
+    n = users.size
+    return (center(kernel(X)) * center(kernel(Y))).sum() / float((n - 1) ** 2)
+
+
+def op_and_chain_gradients(X, Y, users, sigma_sq, normalize, y_grad=True):
+    """(value, X grad, Y grad) of 1.7 * HSIC through the op, then the chain."""
+    out = []
+    for f in (hsic.bottleneck, chain_bottleneck):
+        Xt = ad.Tensor(X, requires_grad=True)
+        Yt = ad.Tensor(Y, requires_grad=y_grad)
+        loss = f(Xt, Yt, users, sigma_sq, normalize) * 1.7
+        loss.backward()
+        out.append((float(loss.data), Xt.grad, Yt.grad))
+    return out
+
+
+def assert_blocks_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestBottleneckOp:
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    def test_central_differences(self, normalize):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((7, 3))
+        Y = rng.standard_normal((7, 3))
+        users = np.array([0, 2, 3, 5, 6])
+
+        def loss():
+            return bottleneck(X, Y, users, 0.9, normalize)
+
+        Xt = ad.Tensor(X, requires_grad=True)
+        Yt = ad.Tensor(Y, requires_grad=True)
+        hsic.bottleneck(Xt, Yt, users, 0.9, normalize).backward()
+        for got, arr in ((Xt.grad, X), (Yt.grad, Y)):
+            want = central_diff(loss, arr)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+            # rows outside the batch get exactly nothing
+            np.testing.assert_array_equal(got[[1, 4]], 0.0)
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    def test_matches_generic_chain(self, normalize):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((60, 8)) * 2.0
+        Y = rng.standard_normal((60, 8))
+        users = rng.integers(0, 60, size=80)  # duplicated batch users
+        (v, gx, gy), (cv, cgx, cgy) = op_and_chain_gradients(X, Y, users, 1.3, normalize)
+        assert v == cv
+        assert_blocks_close(gx, cgx)
+        assert_blocks_close(gy, cgy)
+
+    def test_clamped_distances_match_chain(self):
+        # rows equal up to a last-bit perturbation: some squared distances
+        # come out negative and are clamped, so their entries pass nothing
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((1, 6))
+        X = base * (1.0 + rng.integers(-4, 5, size=(12, 1)) * 2.0 ** -52)
+        X[6:] = rng.standard_normal((6, 6))
+        Y = rng.standard_normal((12, 6))
+        users = np.arange(12)
+        Z = normalize_rows(X)
+        sq = (Z * Z).sum(axis=1, keepdims=True)
+        d2 = sq + sq.T - (Z @ Z.T) * 2.0
+        np.fill_diagonal(d2, 0.0)
+        assert (d2 < 0.0).any()
+        (v, gx, gy), (cv, cgx, cgy) = op_and_chain_gradients(X, Y, users, 0.5, True)
+        assert v == cv
+        assert_blocks_close(gx, cgx)
+        assert_blocks_close(gy, cgy)
+
+    def test_constant_y_gets_no_gradient(self):
+        # the detached original branch: Y is a constant of the tape
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((30, 5))
+        Y = rng.standard_normal((30, 5))
+        users = rng.integers(0, 30, size=25)
+        (v, gx, gy), (cv, cgx, cgy) = op_and_chain_gradients(
+            X, Y, users, 1.1, True, y_grad=False)
+        assert gy is None and cgy is None
+        assert v == cv
+        assert_blocks_close(gx, cgx)
+
+    def test_same_tensor_on_both_sides(self):
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((10, 4))
+        users = np.arange(10)
+        grads = []
+        for f in (hsic.bottleneck, chain_bottleneck):
+            Xt = ad.Tensor(X, requires_grad=True)
+            f(Xt, Xt, users, 0.8, True).backward()
+            grads.append(Xt.grad)
+        assert_blocks_close(*grads)
