@@ -5,13 +5,14 @@ aggregation of layer l.  The readout averages layers 0..L, and preference
 scores are plain inner products between user and item readout rows.
 `layer_readout` is the one definition of that loop.  `propagate` records
 degree renormalization, the loop and the readout as one tape node for
-training; `forward` runs the same renormalization and loop for evaluation.
+training; `forward` runs the same loop on a `build_adjacency` operator for
+evaluation.  Both renormalize through `graph.renormalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -66,10 +67,10 @@ def layer_readout(embeddings: np.ndarray, layers: int, operator):
     return states, acc / float(layers + 1)
 
 
-def propagate(rho: Optional[ad.Tensor], embeddings: ad.Tensor,
+def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
               layout: EdgeLayout, layers: int) -> ad.Tensor:
     """Readout of `layers` propagations over the graph whose social weights
-    are rho (None: all 1, on the layout's cached operator), as one tape node.
+    are rho, as one tape node; the original graph is rho = ones.
 
     With A the normalized adjacency, X_l the layer states, G the readout's
     gradient and g_l the gradient of X_l, A's symmetry gives
@@ -81,28 +82,21 @@ def propagate(rho: Optional[ad.Tensor], embeddings: ad.Tensor,
     dinv_a dinv_b sum_l (<g_{l+1}[a], X_l[b]> + <g_{l+1}[b], X_l[a]>),
     the only per-entry products needed.
     """
-    if rho is None:
-        operator = layout.original_normalized_csr()
-        parents = (embeddings,)
-    else:
-        degrees, dinv, normalized = renormalize(layout.entry_weights(rho.data), layout)
-        operator = layout.operator(normalized)
-        parents = (rho, embeddings)
+    degrees, dinv, operator = renormalize(rho.data, layout)
     states, readout = layer_readout(embeddings.data, layers, operator)
 
     def backward(G):
-        with_rho = rho is not None and rho.requires_grad
         share = G / float(layers + 1)
         g, upper, T = share, [], 0.0
         for lower, state in zip(states[-2::-1], states[:0:-1]):
             Ag = operator @ g
-            if with_rho:
+            if rho.requires_grad:
                 upper.append(g)
                 T = T + np.einsum("nd,nd->n", g, state) + np.einsum("nd,nd->n", Ag, lower)
             g = share + Ag
         if embeddings.requires_grad:
             embeddings._accumulate(g)
-        if with_rho:
+        if rho.requires_grad:
             g_degree = np.where(degrees >= DEGREE_FLOOR, -0.5 * T * dinv * dinv, 0.0)
             gs = np.stack(upper[::-1], axis=1)      # g_1 .. g_L
             xs = np.stack(states[:-1], axis=1)      # X_0 .. X_{L-1}
@@ -114,7 +108,7 @@ def propagate(rho: Optional[ad.Tensor], embeddings: ad.Tensor,
                                              + np.einsum("kld,kld->k", gs[cb], xs[ca]))
             rho._accumulate(pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b])
 
-    return ad._make(readout, parents, backward)
+    return ad._make(readout, (rho, embeddings), backward)
 
 
 def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentations:
@@ -122,8 +116,7 @@ def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentation
         raise DataError(
             f"embedding matrix has {table.matrix.shape[0]} rows but the graph has "
             f"{adj.node_count} nodes")
-    operator = adj.layout.operator(adj.normalized_weights)
-    states, readout = layer_readout(table.matrix, table.layer_count, operator)
+    states, readout = layer_readout(table.matrix, table.layer_count, adj.operator)
     return NodeRepresentations(states, readout, adj.layout.user_count)
 
 

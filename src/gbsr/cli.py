@@ -155,6 +155,8 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: List[str]) -> None:
 def run_train(cfg: RunConfig) -> None:
     _require(cfg, "interactions", "social", "out")
     dataset = _load_dataset(cfg)
+    # the final evaluation scores the full split: fail before training
+    evaluation.require_test_pairs(dataset)
     out_dir = Path(cfg.out)
     outputs: List[str] = []
     runs: List[evaluation.RunMetrics] = []

@@ -336,7 +336,7 @@ def generate_synthetic(spec: SyntheticSpec):
     C, U, I = spec.cluster_count, spec.users_per_cluster, spec.items_per_cluster
     M = C * U
 
-    hit = np.stack([rng.random(I) < spec.interaction_rate for _ in range(M)])
+    hit = rng.random((M, I)) < spec.interaction_rate
     users, items = np.nonzero(hit)
     if users.size == 0:
         raise DataError("interaction_rate produced zero interactions; raise it or the sizes")

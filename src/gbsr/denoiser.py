@@ -182,8 +182,6 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
         raise ConfigError(
             f"embedding dimension mismatch: params expect {params.dim}, got {emb.shape[1]}")
     pairs = dataset.social_pairs
-    if pairs.shape[0] == 0:
-        return EdgeConfidenceMap(pairs, np.empty(0), np.empty(0))
     head = tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
                                          params.layer2_weight, params.layer2_bias))
     w = confidences(ad.constant(emb), head, layout_for(dataset))

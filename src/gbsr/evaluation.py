@@ -81,11 +81,18 @@ def _user_metrics(top: np.ndarray, test_items: np.ndarray,
     return recall, ndcg
 
 
+def require_test_pairs(dataset: Dataset) -> None:
+    """Raise DataError when `evaluate` would find no user to score."""
+    if dataset.test_pairs.shape[0] == 0:
+        raise DataError("no user has test interactions; nothing to evaluate")
+
+
 def evaluate(reps: NodeRepresentations, dataset: Dataset,
              cutoffs: Sequence[int] = (10, 20)) -> MetricsReport:
     cutoffs = tuple(cutoffs)
     if not cutoffs or any(n < 1 for n in cutoffs):
         raise DataError(f"cutoffs must be positive, got {cutoffs}")
+    require_test_pairs(dataset)
     n_max = max(cutoffs)
     recall_sum = {n: 0.0 for n in cutoffs}
     ndcg_sum = {n: 0.0 for n in cutoffs}
@@ -100,8 +107,6 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
             recall_sum[n] += recall[n]
             ndcg_sum[n] += ndcg[n]
         users += 1
-    if users == 0:
-        raise DataError("no user has test interactions; nothing to evaluate")
     return MetricsReport(
         recall={n: recall_sum[n] / users for n in cutoffs},
         ndcg={n: ndcg_sum[n] / users for n in cutoffs},

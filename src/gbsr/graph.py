@@ -2,17 +2,16 @@
 
 Users and items share one node space: user a is node a, item i is node
 user_count + i.  The adjacency holds both directions of every social pair and
-every train interaction; social entries carry a per-pair weight in [0, 1]
-(1 when no weights are supplied), interaction entries carry weight 1.
-Entries are normalized as w / sqrt(d_row * d_col) where degrees are weighted
-row sums floored at DEGREE_FLOOR, so fully down-weighted rows stay finite.
-`renormalize` is that step on plain arrays; `backbone.propagate` runs it
-inside its fused tape op and `build_adjacency` runs it for evaluation.
+every train interaction; social entries carry a per-pair weight in [0, 1],
+interaction entries carry weight 1.  Entries are normalized as
+w / sqrt(d_row * d_col) where degrees are weighted row sums floored at
+DEGREE_FLOOR, so fully down-weighted rows stay finite.  `renormalize` is the
+one place that turns a social weight vector into that operator: training's
+`backbone.propagate` runs it inside its fused tape op and `build_adjacency`
+runs it for evaluation.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,11 +26,9 @@ class EdgeLayout:
     """Fixed COO ordering shared by every adjacency build for a dataset.
 
     Entry order: social pairs (a -> b), social pairs (b -> a), interactions
-    (user -> item), interactions (item -> user).  A weight vector for the
-    social pairs expands into the full entry weight vector via
-    entry_weights().  The CSR structure of the adjacency and the one-hot
-    pair matrices are built on first use, so evaluation never pays for the
-    ones only a backward pass needs.
+    (user -> item), interactions (item -> user).  The CSR structure of the
+    adjacency and the one-hot pair matrices are built on first use, so
+    evaluation never pays for the ones only a backward pass needs.
     """
 
     def __init__(self, dataset: Dataset):
@@ -50,38 +47,20 @@ class EdgeLayout:
         self.item_count = dataset.item_count
         self._csr_structure = None
         self._pair_scatter = None
-        self._original_csr: Optional[sp.csr_matrix] = None
 
-    def entry_weights(self, social_weights: np.ndarray) -> np.ndarray:
-        """Weights of every entry in layout order; interactions weigh 1."""
-        if social_weights.shape != (self.social_count,):
-            raise DataError("social weight vector does not match the social pair count")
-        ones = np.ones(2 * self.interaction_count)
-        return np.concatenate([social_weights, social_weights, ones])
-
-    def operator(self, normalized: np.ndarray) -> sp.csr_matrix:
-        """The matrix with entry values `normalized` (layout order) on the
-        layout's one CSR structure.  Entries are ordered by (row, column), as
-        `csr_matrix((values, (rows, cols)))` orders them, so products match
-        that construction bit for bit."""
-        shape = (self.node_count, self.node_count)
+    def _csr(self):
+        """(layout-to-CSR entry order, indices, indptr).  Entries are ordered
+        by (row, column), as `csr_matrix((values, (rows, cols)))` orders them,
+        so products match that construction bit for bit; the index arrays are
+        the ones scipy picked for the template, so no build converts them."""
         if self._csr_structure is None:
             order = np.lexsort((self.cols, self.rows))
             indptr = np.zeros(self.node_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.rows, minlength=self.node_count), out=indptr[1:])
             template = sp.csr_matrix((np.zeros(order.size), self.cols[order], indptr),
-                                     shape=shape)
+                                     shape=(self.node_count, self.node_count))
             self._csr_structure = (order, template.indices, template.indptr)
-        order, indices, indptr = self._csr_structure
-        return sp.csr_matrix((normalized[order], indices, indptr), shape=shape)
-
-    def original_normalized_csr(self) -> sp.csr_matrix:
-        """The all-ones graph's normalized operator, built once per layout."""
-        if self._original_csr is None:
-            ones = self.entry_weights(np.ones(self.social_count))
-            self._original_csr = self.operator(renormalize(ones, self)[2])
-            self._original_csr.data.flags.writeable = False
-        return self._original_csr
+        return self._csr_structure
 
     def pair_scatter(self):
         """One-hot (user_count x social_count) matrices of the pairs' first
@@ -95,24 +74,29 @@ class EdgeLayout:
         return self._pair_scatter
 
 
-def renormalize(weights: np.ndarray, layout: EdgeLayout):
-    """(degrees, floored degrees^-1/2, normalized entry values) for entry
-    weights in layout order."""
+def renormalize(social_weights: np.ndarray, layout: EdgeLayout):
+    """(degrees, floored degrees^-1/2, normalized CSR operator) of the graph
+    whose social pairs weigh `social_weights` and whose interactions weigh 1."""
+    if social_weights.shape != (layout.social_count,):
+        raise DataError("social weight vector does not match the social pair count")
+    weights = np.concatenate([social_weights, social_weights,
+                              np.ones(2 * layout.interaction_count)])
     degrees = np.bincount(layout.rows, weights=weights, minlength=layout.node_count)
     dinv = np.power(np.maximum(degrees, DEGREE_FLOOR), -0.5)
-    return degrees, dinv, (weights * dinv[layout.rows]) * dinv[layout.cols]
+    normalized = (weights * dinv[layout.rows]) * dinv[layout.cols]
+    order, indices, indptr = layout._csr()
+    operator = sp.csr_matrix((normalized[order], indices, indptr),
+                             shape=(layout.node_count, layout.node_count))
+    return degrees, dinv, operator
 
 
 class WeightedAdjacency:
-    """Symmetric weighted adjacency plus its normalized entry values."""
+    """The joint adjacency's weighted degrees and normalized operator."""
 
-    def __init__(self, layout: EdgeLayout, weights: np.ndarray):
+    def __init__(self, layout: EdgeLayout, social_weights: np.ndarray):
         self.layout = layout
         self.node_count = layout.node_count
-        self.rows = layout.rows
-        self.cols = layout.cols
-        self.weights = weights
-        self.degrees, _, self.normalized_weights = renormalize(weights, layout)
+        self.degrees, _, self.operator = renormalize(social_weights, layout)
 
 
 def layout_for(dataset: Dataset) -> EdgeLayout:
@@ -138,7 +122,7 @@ def build_adjacency(dataset: Dataset, social_weights=None) -> WeightedAdjacency:
     # written so that NaN fails too
     if w.size and not (np.min(w) >= 0.0 and np.max(w) <= 1.0):
         raise DataError("social weights must lie in [0, 1]")
-    return WeightedAdjacency(layout, layout.entry_weights(w))
+    return WeightedAdjacency(layout, w)
 
 
 def _extract_social_weights(dataset: Dataset, social_weights) -> np.ndarray:
@@ -146,8 +130,5 @@ def _extract_social_weights(dataset: Dataset, social_weights) -> np.ndarray:
     if pairs is not None:
         if not np.array_equal(np.asarray(pairs), dataset.social_pairs):
             raise DataError("edge confidence map does not cover exactly the dataset's social pairs")
-        return np.asarray(social_weights.relaxed, dtype=np.float64)
-    w = np.asarray(social_weights, dtype=np.float64)
-    if w.shape != (dataset.social_pairs.shape[0],):
-        raise DataError("social weight vector does not match the social pair count")
-    return w
+        social_weights = social_weights.relaxed
+    return np.asarray(social_weights, dtype=np.float64)

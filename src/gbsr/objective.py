@@ -6,8 +6,9 @@ functions evaluation runs on constants):
 
     E0 rows -> pair confidences -> relaxed social weights -> degree
     renormalization, L-layer propagation and readout (denoised graph) ->
-    batch scores -> BPR;  E0 -> propagation (original graph) -> HSIC against
-    the denoised user rows;  plus the L2 term on E0.
+    batch scores -> BPR;  E0 -> the same propagation with every social
+    weight 1 (original graph) -> HSIC against the denoised user rows;  plus
+    the L2 term on E0.
 
 The confidences, the renormalized propagation and the HSIC bottleneck are
 one tape op each (`denoiser.confidences`, `backbone.propagate`,
@@ -17,7 +18,8 @@ normalization, is exact.  The original-graph branch contributes gradients
 too unless detach_original is set, in which case `plain_original_readout`
 computes it off the tape, it is held constant and the bottleneck's backward
 skips that side.  With beta == 0 the HSIC branch is never built or
-evaluated.
+evaluated.  A graph without social pairs runs the same ops on empty pair
+arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class LossBreakdown:
 def plain_original_readout(embeddings: np.ndarray, layout: EdgeLayout,
                            layers: int) -> np.ndarray:
     """Readout on the all-ones social graph without touching the tape."""
-    return backbone.propagate(None, ad.constant(embeddings), layout, layers).data
+    ones = ad.constant(np.ones(layout.social_count))
+    return backbone.propagate(ones, ad.constant(embeddings), layout, layers).data
 
 
 def gradients(embeddings: np.ndarray, params: DenoiserParams,
@@ -92,12 +95,9 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     b2 = ad.Tensor(params.layer2_bias, requires_grad=with_grads)
 
     # social confidences and relaxed weights, then the denoised graph
-    if layout.social_count:
-        conf = denoiser.confidences(E0, (W1, b1, W2, b2), layout)
-        rho = denoiser.relax_sample(conf, deltas, params.temperature,
-                                    params.observation_bias)
-    else:
-        rho = ad.constant(np.empty(0))
+    conf = denoiser.confidences(E0, (W1, b1, W2, b2), layout)
+    rho = denoiser.relax_sample(conf, deltas, params.temperature,
+                                params.observation_bias)
     readout = backbone.propagate(rho, E0, layout, layers)
 
     # ranking loss on the batch
@@ -113,7 +113,8 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
         if detach_original:
             orig = ad.constant(plain_original_readout(embeddings, layout, layers))
         else:
-            orig = backbone.propagate(None, E0, layout, layers)
+            ones = ad.constant(np.ones(layout.social_count))
+            orig = backbone.propagate(ones, E0, layout, layers)
         ib = hsic.bottleneck(readout, orig, users, sigma_sq, kernel_normalize)
         total = (rec + reg * reg_lambda) + ib * beta
         ib_value = float(ib.data)

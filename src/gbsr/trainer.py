@@ -195,6 +195,8 @@ def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
     """Train to completion; returns the best-selection-metric state and the
     structured training log (one dict per record, JSON-serializable)."""
     work = _carve_validation(dataset, config) if config.validation_ratio > 0 else dataset
+    if config.eval_every <= config.epochs:
+        evaluation.require_test_pairs(work)
     rng = np.random.default_rng(config.seed)
     state = init(config, work, rng)
     log: List[dict] = [{"event": "config", **config_as_dict(config)}]

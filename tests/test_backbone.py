@@ -15,12 +15,6 @@ from gbsr.errors import ConfigError, DataError
 from gbsr.graph import DEGREE_FLOOR, build_adjacency
 
 
-def normalized_matrix(adj):
-    n = adj.node_count
-    return sp.csr_matrix((adj.normalized_weights, (adj.rows, adj.cols)),
-                         shape=(n, n))
-
-
 class TestHandCases:
     def test_single_bond_one_layer(self):
         # nodes: user0 (a), item0 (b), item1 (c); only u0 - i0 linked
@@ -51,7 +45,7 @@ class TestHandCases:
         assert len(reps.layers) == 4
         assert reps.layers[0] is not None
         np.testing.assert_array_equal(reps.layers[0], E0)
-        A = normalized_matrix(adj)
+        A = adj.operator
         want = E0.copy()
         for k in range(1, 4):
             want = A @ want
@@ -70,7 +64,7 @@ class TestAgainstDenseOracle:
             ds = Dataset(M, N, inter, [], soc)
             w = rng.uniform(size=len(soc))
             adj = build_adjacency(ds, w)
-            A = normalized_matrix(adj).toarray()
+            A = adj.operator.toarray()
             E0 = rng.standard_normal((M + N, 3))
             L = int(rng.integers(1, MAX_LAYERS + 1))
             reps = forward(EmbeddingTable(E0, L), adj)
@@ -226,11 +220,3 @@ class TestPropagateOp:
             state = A @ state
             acc = acc + state
         np.testing.assert_array_equal(got, acc / float(layers + 1))
-
-    def test_all_ones_branch_matches_unit_weights(self):
-        name, ds, rho = propagation_cases()[0]
-        layout = graph.layout_for(ds)
-        E0 = np.random.default_rng(1).standard_normal((ds.node_count, 2))
-        ones = propagate(ad.constant(np.ones(rho.size)), ad.constant(E0), layout, 3)
-        np.testing.assert_array_equal(
-            propagate(None, ad.constant(E0), layout, 3).data, ones.data)

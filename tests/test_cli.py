@@ -334,6 +334,28 @@ class TestErrors:
         cfg.write_text("epochs=soon\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--epochs", "2", "--eval-every", "5"]],
+                             ids=["evaluating_fit", "final_evaluation_only"])
+    def test_empty_test_split_is_exit_2_before_training(self, data_dir, tmp_path,
+                                                        extra, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--split-ratio", "1", "--dim", "8", "--layers", "2",
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(out)] + extra)
+        assert code == 2
+        assert "nothing to evaluate" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_export_needs_no_test_split(self, train_dir, data_dir, tmp_path):
+        code = main(["export-confidence", "--split-ratio", "1",
+                     "--checkpoint", str(train_dir / "checkpoint_seed0.bin"),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "confidence.csv").exists()
+
     def test_bad_split_ratio_is_exit_1(self, data_dir, tmp_path):
         code = main(["train", "--split-ratio", "0",
                      "--interactions", str(data_dir / "interactions.tsv"),

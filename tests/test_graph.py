@@ -2,22 +2,19 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gbsr.backbone import EmbeddingTable, forward
 from gbsr.data import Dataset
 from gbsr.errors import DataError
-from gbsr.graph import (DEGREE_FLOOR, EdgeLayout, WeightedAdjacency,
-                        build_adjacency, layout_for)
+from gbsr.graph import (DEGREE_FLOOR, EdgeLayout, build_adjacency,
+                        layout_for, renormalize)
 
 INV_SQRT2 = 0.7071067811865476
 
 
 def normalized_dense(adj):
-    """The normalized adjacency as a dense matrix, duplicates summed."""
-    n = adj.node_count
-    return sp.csr_matrix((adj.normalized_weights, (adj.rows, adj.cols)),
-                         shape=(n, n)).toarray()
+    """The normalized adjacency as a dense matrix."""
+    return adj.operator.toarray()
 
 
 def propagate(adj, E):
@@ -88,24 +85,19 @@ class TestLayout:
             tiny_dataset.user_count + tiny_dataset.train_pairs[:, 1])
 
     def test_values_layout(self, tiny_dataset):
+        # both social blocks carry the pair weights, interactions weigh 1:
+        # read back through the degrees and the operator's entries
         lay = EdgeLayout(tiny_dataset)
-        v = lay.entry_weights(np.array([0.25, 0.75]))
-        assert v.tolist() == [0.25, 0.75, 0.25, 0.75] + [1.0] * 8
+        degrees, dinv, op = renormalize(np.array([0.25, 0.75]), lay)
+        v = [0.25, 0.75, 0.25, 0.75] + [1.0] * 8
+        np.testing.assert_array_equal(
+            degrees, np.bincount(lay.rows, weights=v, minlength=lay.node_count))
+        entries = np.asarray(op[lay.rows, lay.cols]).ravel()
+        np.testing.assert_allclose(entries / (dinv[lay.rows] * dinv[lay.cols]), v,
+                                   rtol=1e-15, atol=0)
 
     def test_layout_cached_per_dataset(self, tiny_dataset):
         assert layout_for(tiny_dataset) is layout_for(tiny_dataset)
-
-    def test_original_values_match_unit_weights(self, tiny_dataset):
-        lay = layout_for(tiny_dataset)
-        ones = WeightedAdjacency(lay, np.ones(lay.rows.size))
-        csr = lay.original_normalized_csr()
-        np.testing.assert_array_equal(csr.data,
-                                      lay.operator(ones.normalized_weights).data)
-        np.testing.assert_allclose(csr.toarray(), normalized_dense(ones),
-                                   rtol=0, atol=0)
-        # the operator is built once and shared read-only across calls
-        assert lay.original_normalized_csr() is csr
-        assert not csr.data.flags.writeable
 
 
 class TestAgainstDenseOracle:
@@ -162,7 +154,9 @@ class TestAgainstDenseOracle:
         w = np.array([0.3, 0.9])
         a = build_adjacency(tiny_dataset, w)
         b = build_adjacency(tiny_dataset, w)
-        np.testing.assert_array_equal(a.normalized_weights, b.normalized_weights)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a.operator, name),
+                                          getattr(b.operator, name))
 
 
 class TestValidation:
@@ -190,6 +184,12 @@ class TestValidation:
         with pytest.raises(DataError):
             build_adjacency(tiny_dataset, np.array([0.5]))
 
+    def test_renormalize_weight_length_mismatch(self, tiny_dataset):
+        lay = layout_for(tiny_dataset)
+        for bad in (np.ones(1), np.ones(3), np.ones((2, 1)), np.ones(lay.rows.size)):
+            with pytest.raises(DataError, match="social pair count"):
+                renormalize(bad, lay)
+
     def test_confidence_map_pair_mismatch(self, tiny_dataset):
         class Fake:
             pairs = np.array([[0, 2]])
@@ -210,5 +210,5 @@ class TestFloor:
         # degree 0; the floor keeps its (empty) row finite, not NaN
         ds = Dataset(2, 1, train=[(0, 0)], test=[], social=[(0, 1)])
         adj = build_adjacency(ds, np.array([0.0]))
-        assert np.isfinite(adj.normalized_weights).all()
+        assert np.isfinite(adj.operator.data).all()
         assert np.isfinite(normalized_dense(adj)).all()

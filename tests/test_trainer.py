@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from gbsr import objective, trainer
-from gbsr.data import Dataset
-from gbsr.errors import CheckpointError, ConfigError, NumericError
+from gbsr import backbone, evaluation, graph, objective, trainer
+from gbsr.data import Dataset, sample_batch_arrays
+from gbsr.denoiser import denoise
+from gbsr.errors import CheckpointError, ConfigError, DataError, NumericError
 from gbsr.trainer import (CHECKPOINT_MAGIC, INIT_SCALE, Adam, TrainConfig,
                           TrainState, config_as_dict, config_from_dict,
                           evaluate_state, fit, init, load_checkpoint,
@@ -239,6 +240,54 @@ class TestFit:
         ds, _ = small_synthetic
         _, log = fit(quick_config(epochs=1, validation_ratio=0.0), ds)
         assert log[0]["validation_ratio"] == 0.0
+
+    @pytest.mark.parametrize("validation_ratio", [0.0, 0.5])
+    def test_empty_evaluation_split_fails_before_training(
+            self, monkeypatch, validation_ratio):
+        # every user has one interaction, all of it in train: neither the
+        # test split nor a carved validation split has a pair to score
+        ds = Dataset(3, 3, [(0, 0), (1, 1), (2, 2)], [], [(0, 1)])
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran before the split was checked")
+
+        monkeypatch.setattr(trainer, "train_epoch", no_epoch)
+        with pytest.raises(DataError, match="nothing to evaluate"):
+            fit(quick_config(epochs=2, eval_every=2,
+                             validation_ratio=validation_ratio), ds)
+
+    def test_empty_test_split_trains_when_nothing_is_evaluated(self):
+        ds = Dataset(3, 3, [(0, 0), (1, 1), (2, 2)], [], [(0, 1)])
+        state, log = fit(quick_config(epochs=2, eval_every=3), ds)
+        assert state.epoch == 2
+        assert not any("recall@20" in r for r in log)
+
+
+class TestWithoutSocial:
+    def test_pipeline_runs_on_empty_social_graph(self, small_synthetic):
+        ds = small_synthetic[0].without_social()
+        cfg = quick_config()
+        rng = np.random.default_rng(0)
+        state = init(cfg, ds, rng)
+        E = state.embeddings.matrix
+        cmap = denoise(state.denoiser, E, ds, mode="deterministic")
+        assert cmap.pairs.shape == (0, 2) and cmap.relaxed.shape == (0,)
+        reps = backbone.forward(state.embeddings, graph.build_adjacency(ds, cmap))
+        report = evaluation.evaluate(reps, ds, cfg.cutoffs)
+        assert report.evaluated_user_count > 0
+        # without social pairs the denoised graph is the original graph
+        layout = graph.layout_for(ds)
+        np.testing.assert_array_equal(
+            reps.readout, objective.plain_original_readout(E, layout, cfg.layers))
+
+        batch = sample_batch_arrays(ds, cfg.batch_size, rng)
+        losses, grads = objective.gradients(
+            E, state.denoiser, layout, batch, np.zeros(0), layers=cfg.layers,
+            beta=cfg.beta, reg_lambda=cfg.reg_lambda, sigma_sq=cfg.sigma_sq)
+        assert np.isfinite(losses.total) and losses.ib_loss > 0.0
+        assert np.any(grads["embeddings"] != 0.0)
+        for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias"):
+            np.testing.assert_array_equal(grads[name], 0.0)
 
 
 class TestCheckpoint:
