@@ -6,7 +6,7 @@ representations from simply copying the raw graph, and a multi-layer
 propagation backbone turns the result into top-N item rankings.
 """
 
-from .backbone import EmbeddingTable, NodeRepresentations, forward, score_all_items
+from .backbone import EmbeddingTable, NodeRepresentations, forward
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset
 from .denoiser import DenoiserParams, EdgeConfidenceMap, denoise, relax_sample
 from .errors import (CheckpointError, ConfigError, DataError, GbsrError,
@@ -26,7 +26,7 @@ __all__ = [
     "WeightedAdjacency", "build_adjacency", "denoise", "evaluate", "fit",
     "forward", "generate_synthetic", "gradients", "hsic_estimate", "init",
     "load_checkpoint", "load_dataset", "rank_user", "rbf_kernel",
-    "relax_sample", "save_checkpoint", "score_all_items", "train_epoch",
+    "relax_sample", "save_checkpoint", "train_epoch",
 ]
 
 __version__ = "0.1.0"

@@ -119,8 +119,3 @@ def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentation
     states, readout = layer_readout(table.matrix, table.layer_count, adj.operator)
     return NodeRepresentations(states, readout, adj.layout.user_count)
 
-
-def score_all_items(reps: NodeRepresentations, user: int) -> np.ndarray:
-    if not (0 <= user < reps.user_count):
-        raise DataError(f"user id {user} outside [0, {reps.user_count})")
-    return reps.readout[reps.user_count:] @ reps.readout[user]

@@ -4,6 +4,12 @@ Every item the user has not interacted with in train is a candidate; ties in
 score break toward the smaller item id.  A user with no test items is
 skipped.  DCG credits 1/log2(p + 1) at 1-based rank p for each test item in
 the list; IDCG stacks the user's test items at the top, truncated at N.
+
+Users are ranked in blocks holding at most SCORE_BLOCK_BYTES of scores
+(LightGCN's full-ranking protocol): one `U_blk @ I.T` product, train items
+masked to -inf, one partition for each user's k-th best score, and one lexsort
+over every item scoring at least that.  `rank_user` is the one-user block.
+Recall and NDCG come from a (users x N) hit matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .backbone import NodeRepresentations, score_all_items
+from .backbone import NodeRepresentations
 from .data import Dataset
 from .errors import DataError
+
+# bytes of float64 scores in one block of users; bounds the (users, items)
+# buffers of a ranking pass whatever the user count
+SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -53,32 +63,48 @@ class MetricsReport:
         return out
 
 
+def _check_readout(reps: NodeRepresentations, dataset: Dataset) -> None:
+    if reps.user_count != dataset.user_count or reps.readout.shape[0] != dataset.node_count:
+        raise DataError(
+            f"readout has {reps.user_count} users in {reps.readout.shape[0]} rows but the "
+            f"dataset has {dataset.user_count} users + {dataset.item_count} items")
+
+
+def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
+                  cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-`cutoff` lists of users [lo, hi) as flat (row, position, item)
+    arrays, rows ascending and each list best first."""
+    n = dataset.item_count
+    k = min(cutoff, n)
+    if k == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, empty
+    scores = readout[lo:hi] @ readout[dataset.user_count:].T
+    s, e = np.searchsorted(dataset.train_pairs[:, 0], (lo, hi))
+    train_rows = dataset.train_pairs[s:e, 0] - lo
+    scores[train_rows, dataset.train_pairs[s:e, 1]] = -np.inf
+    # every item scoring at least the k-th best, exact ties at the boundary
+    # included; the lexsort then applies the (-score, item id) order
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    rows, items = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((items, -scores[rows, items], rows))
+    rows, items = rows[order], items[order]
+    position = np.arange(rows.size) - np.searchsorted(rows, rows)
+    # masked items sort last; cutting at the candidate count drops them
+    length = np.minimum(k, n - np.bincount(train_rows, minlength=hi - lo))
+    keep = position < length[rows]
+    return rows[keep], position[keep], items[keep]
+
+
 def rank_user(reps: NodeRepresentations, dataset: Dataset, user: int,
               cutoff: int) -> np.ndarray:
     """Top `cutoff` candidate items for the user, best first."""
     if cutoff < 1:
         raise DataError(f"cutoff must be >= 1, got {cutoff}")
-    scores = score_all_items(reps, user)
-    candidates = np.setdiff1d(np.arange(dataset.item_count),
-                              dataset.train_items_of(user), assume_unique=False)
-    if candidates.size == 0:
-        return candidates
-    order = np.lexsort((candidates, -scores[candidates]))
-    return candidates[order[:cutoff]]
-
-
-def _user_metrics(top: np.ndarray, test_items: np.ndarray,
-                  cutoffs: Sequence[int]):
-    hit = np.isin(top, test_items)
-    recall, ndcg = {}, {}
-    for n in cutoffs:
-        hits_n = hit[:n]
-        recall[n] = float(hits_n.sum()) / test_items.size
-        dcg = float(sum(1.0 / math.log2(p + 2) for p in np.nonzero(hits_n)[0]))
-        ideal = min(n, test_items.size)
-        idcg = float(sum(1.0 / math.log2(p + 2) for p in range(ideal)))
-        ndcg[n] = dcg / idcg
-    return recall, ndcg
+    _check_readout(reps, dataset)
+    if not (0 <= user < dataset.user_count):
+        raise DataError(f"user id {user} outside [0, {dataset.user_count})")
+    return _ranked_block(reps.readout, dataset, user, user + 1, cutoff)[2]
 
 
 def require_test_pairs(dataset: Dataset) -> None:
@@ -93,21 +119,31 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
     if not cutoffs or any(n < 1 for n in cutoffs):
         raise DataError(f"cutoffs must be positive, got {cutoffs}")
     require_test_pairs(dataset)
+    _check_readout(reps, dataset)
     n_max = max(cutoffs)
-    recall_sum = {n: 0.0 for n in cutoffs}
-    ndcg_sum = {n: 0.0 for n in cutoffs}
-    users = 0
-    for user in range(dataset.user_count):
-        test_items = dataset.test_items_of(user)
-        if test_items.size == 0:
-            continue
-        top = rank_user(reps, dataset, user, n_max)
-        recall, ndcg = _user_metrics(top, test_items, cutoffs)
-        for n in cutoffs:
-            recall_sum[n] += recall[n]
-            ndcg_sum[n] += ndcg[n]
-        users += 1
-    return MetricsReport(
-        recall={n: recall_sum[n] / users for n in cutoffs},
-        ndcg={n: ndcg_sum[n] / users for n in cutoffs},
-        evaluated_user_count=users)
+    M, n_items = dataset.user_count, dataset.item_count
+    test_keys = dataset.test_pairs[:, 0] * n_items + dataset.test_pairs[:, 1]
+    hit = np.zeros((M, n_max), dtype=bool)
+    step = max(1, SCORE_BLOCK_BYTES // (8 * n_items))
+    for lo in range(0, M, step):
+        rows, position, items = _ranked_block(reps.readout, dataset, lo,
+                                              min(lo + step, M), n_max)
+        keys = (lo + rows) * n_items + items
+        found = np.minimum(np.searchsorted(test_keys, keys), test_keys.size - 1)
+        hit[lo + rows, position] = test_keys[found] == keys
+    test_count = np.bincount(dataset.test_pairs[:, 0], minlength=M)
+    hit, test_count = hit[test_count > 0], test_count[test_count > 0]
+    users = test_count.size
+    # np.cumsum adds strictly left to right, over list positions and then
+    # over users in id order, so every metric is the plain running sum
+    discount = np.array([1.0 / math.log2(p + 2) for p in range(n_max)])
+    hits_at = np.cumsum(hit, axis=1)
+    dcg_at = np.cumsum(hit * discount, axis=1)
+    idcg_at = np.cumsum(discount)
+    recall, ndcg = {}, {}
+    for n in cutoffs:
+        per_user_recall = hits_at[:, n - 1] / test_count
+        per_user_ndcg = dcg_at[:, n - 1] / idcg_at[np.minimum(n, test_count) - 1]
+        recall[n] = float(np.cumsum(per_user_recall)[-1]) / users
+        ndcg[n] = float(np.cumsum(per_user_ndcg)[-1]) / users
+    return MetricsReport(recall=recall, ndcg=ndcg, evaluated_user_count=users)

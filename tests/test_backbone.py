@@ -8,10 +8,10 @@ from conftest import central_diff
 
 from gbsr import autodiff as ad
 from gbsr import graph
-from gbsr.backbone import (MAX_LAYERS, EmbeddingTable, forward, propagate,
-                           score_all_items)
+from gbsr.backbone import MAX_LAYERS, EmbeddingTable, forward, propagate
 from gbsr.data import Dataset
 from gbsr.errors import ConfigError, DataError
+from gbsr.evaluation import _ranked_block, rank_user
 from gbsr.graph import DEGREE_FLOOR, build_adjacency
 
 
@@ -77,32 +77,34 @@ class TestAgainstDenseOracle:
 
 
 class TestScoring:
+    """Scores are readout inner products; rankings order candidates by them."""
+
     @pytest.fixture
     def reps(self, tiny_dataset):
         adj = build_adjacency(tiny_dataset)
         E0 = np.random.default_rng(5).standard_normal((tiny_dataset.node_count, 4))
         return forward(EmbeddingTable(E0, 2), adj)
 
-    def test_score_is_readout_inner_product(self, reps):
+    def test_score_is_readout_inner_product(self, reps, tiny_dataset):
         for u in range(3):
-            row = score_all_items(reps, u)
-            for i in range(3):
-                want = sum(float(a) * float(b) for a, b in
-                           zip(reps.readout[u], reps.readout[3 + i]))
-                assert row[i] == pytest.approx(want, abs=1e-15)
+            score = [sum(float(a) * float(b) for a, b in
+                         zip(reps.readout[u], reps.readout[3 + i])) for i in range(3)]
+            train = set(tiny_dataset.train_items_of(u).tolist())
+            want = sorted((i for i in range(3) if i not in train),
+                          key=lambda i: (-score[i], i))
+            assert rank_user(reps, tiny_dataset, u, 3).tolist() == want
 
-    def test_score_all_items_matches_loop(self, reps):
+    def test_block_matches_single_user_lists(self, reps, tiny_dataset):
+        rows, position, items = _ranked_block(reps.readout, tiny_dataset, 0, 3, 3)
         for u in range(3):
-            row = score_all_items(reps, u)
-            assert row.shape == (3,)
-            for i in range(3):
-                assert row[i] == pytest.approx(
-                    float(np.dot(reps.readout[u], reps.readout[3 + i])), abs=1e-15)
+            single = rank_user(reps, tiny_dataset, u, 3)
+            assert items[rows == u].tolist() == single.tolist()
+            assert position[rows == u].tolist() == list(range(single.size))
 
-    def test_range_checks(self, reps):
+    def test_range_checks(self, reps, tiny_dataset):
         for user in (3, -1, 17):
             with pytest.raises(DataError):
-                score_all_items(reps, user)
+                rank_user(reps, tiny_dataset, user, 3)
 
 
 class TestValidation:

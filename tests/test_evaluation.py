@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gbsr import evaluation
 from gbsr.backbone import NodeRepresentations
 from gbsr.data import Dataset
 from gbsr.errors import DataError
@@ -26,6 +27,47 @@ def one_user(item_scores, train=(), test=()):
         readout[1 + i] = [s, 0.0]
     ds = Dataset(1, n, [(0, i) for i in train], [(0, i) for i in test], [])
     return reps_from(readout, 1), ds
+
+
+def reps_for_scores(scores):
+    """Readout whose item block is the identity, so that user u scores item i
+    exactly scores[u, i] in any summation order."""
+    M, N = scores.shape
+    return reps_from(np.vstack([scores, np.eye(N)]), M)
+
+
+def sorted_top(scores, dataset, user, cutoff):
+    train = set(dataset.train_items_of(user).tolist())
+    candidates = [i for i in range(dataset.item_count) if i not in train]
+    return sorted(candidates, key=lambda i: (-scores[user, i], i))[:cutoff]
+
+
+def reference_metrics(scores, dataset, cutoffs):
+    """Mean Recall/NDCG per cutoff, accumulated user by user with explicit
+    `+=` loops: builtin sum() compensates float rounding from Python 3.12 on,
+    so only plain loops give one reference on every version."""
+    cutoffs = list(dict.fromkeys(cutoffs))
+    recall = {n: 0.0 for n in cutoffs}
+    ndcg = {n: 0.0 for n in cutoffs}
+    users = 0
+    for u in range(dataset.user_count):
+        test = set(dataset.test_items_of(u).tolist())
+        if not test:
+            continue
+        top = sorted_top(scores, dataset, u, max(cutoffs))
+        for n in cutoffs:
+            hits, dcg, idcg = 0, 0.0, 0.0
+            for p, item in enumerate(top[:n]):
+                if item in test:
+                    hits += 1
+                    dcg += 1.0 / math.log2(p + 2)
+            for p in range(min(n, len(test))):
+                idcg += 1.0 / math.log2(p + 2)
+            recall[n] += hits / len(test)
+            ndcg[n] += dcg / idcg
+        users += 1
+    return ({n: v / users for n, v in recall.items()},
+            {n: v / users for n, v in ndcg.items()}, users)
 
 
 class TestHandCases:
@@ -64,6 +106,10 @@ class TestHandCases:
         assert rank_user(reps, ds, 0, 3).tolist() == [0, 1, 2]
         report = evaluate(reps, ds, cutoffs=(2,))
         assert report.recall[2] == 0.0
+
+    def test_duplicate_cutoff_counts_once(self):
+        reps, ds = one_user([0.9, 0.5, 0.2], test=[0, 2])
+        assert evaluate(reps, ds, cutoffs=(2, 2)) == evaluate(reps, ds, cutoffs=(2,))
 
     def test_user_average(self):
         # two users, one ranked perfectly, one at rank 2 of 2
@@ -112,6 +158,88 @@ class TestAgainstSortOracle:
         report = evaluate(reps_from(readout, 4), ds, cutoffs=(1, 3, 8))
         assert report.recall[1] <= report.recall[3] <= report.recall[8]
         assert report.recall[8] == 1.0  # cutoff covers every candidate
+
+
+class TestBlockedRanking:
+    """Blocks of 1, 2 and 3 users against an exhaustive sort."""
+
+    @staticmethod
+    def instance(rng):
+        M, N = int(rng.integers(5, 10)), int(rng.integers(3, 9))
+        # a coarse grid puts exact ties on the k-th best score
+        scores = rng.integers(0, 4, size=(M, N)) * 0.5
+        train, test = [], []
+        for u in range(M):
+            items = rng.permutation(N)
+            # no train items for the first and last user and at random; every
+            # item in train for some users
+            kind = 0 if u in (0, M - 1) else int(rng.integers(0, 3))
+            k_train = (0, N, int(rng.integers(1, N)))[kind]
+            k_test = int(rng.integers(1 if u == 0 else 0, N - k_train + 1))
+            train += [(u, int(i)) for i in items[:k_train]]
+            test += [(u, int(i)) for i in items[k_train:k_train + k_test]]
+        return scores, Dataset(M, N, train, test, [])
+
+    @pytest.mark.parametrize("block_users", [1, 2, 3])
+    def test_against_exhaustive_sort(self, block_users, monkeypatch):
+        blocks = []
+        ranked_block = evaluation._ranked_block
+
+        def spy(readout, dataset, lo, hi, cutoff):
+            blocks.append(hi - lo)
+            return ranked_block(readout, dataset, lo, hi, cutoff)
+
+        monkeypatch.setattr(evaluation, "_ranked_block", spy)
+        rng = np.random.default_rng(100 + block_users)
+        for _ in range(40):
+            scores, ds = self.instance(rng)
+            M, N = scores.shape
+            budget = block_users * 8 * N
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", budget)
+            blocks.clear()
+            c = int(rng.integers(1, N + 1))
+            # a cutoff beyond the item count, and a duplicate
+            cutoffs = (c, N + 2, c)
+            reps = reps_for_scores(scores)
+            got = evaluate(reps, ds, cutoffs)
+            assert max(blocks) <= budget // (8 * N)
+            assert sum(blocks) == M
+            recall, ndcg, users = reference_metrics(scores, ds, cutoffs)
+            assert got.recall == recall and got.ndcg == ndcg
+            assert got.evaluated_user_count == users
+            for u in range(M):
+                for n in (c, N + 2):
+                    assert rank_user(reps, ds, u, n).tolist() == sorted_top(scores, ds, u, n)
+
+    def test_summation_order_is_pinned(self):
+        rng = np.random.default_rng(31)
+        M, N = 300, 200
+        scores = rng.random((M, N))
+        draw = rng.random((M, N))
+        train = np.argwhere(draw < 0.1)
+        test = np.argwhere(draw > 0.95)
+        ds = Dataset(M, N, train, test, [])
+        cutoffs = (1, 5, 10, 20)
+        got = evaluate(reps_for_scores(scores), ds, cutoffs)
+        recall, ndcg, users = reference_metrics(scores, ds, cutoffs)
+        assert got.evaluated_user_count == users
+        for n in cutoffs:
+            assert got.recall[n] == recall[n], n
+            assert got.ndcg[n] == ndcg[n], n
+
+
+class TestReadoutShape:
+    """A readout must have the dataset's user count and node rows."""
+
+    @pytest.mark.parametrize("rows, user_count", [(2 + 3, 2), (2 + 6, 2), (6, 1)])
+    def test_mismatch_is_data_error(self, rows, user_count):
+        ds = Dataset(2, 4, [(0, 0)], [(0, 1), (1, 2)], [])
+        readout = np.random.default_rng(3).standard_normal((rows, 3))
+        reps = reps_from(readout, user_count)
+        with pytest.raises(DataError, match="readout"):
+            evaluate(reps, ds, (2,))
+        with pytest.raises(DataError, match="readout"):
+            rank_user(reps, ds, 0, 2)
 
 
 class TestEdges:
