@@ -17,13 +17,11 @@ from typing import List
 import numpy as np
 
 from . import autodiff as ad
+from . import graph
 from .errors import ConfigError, DataError
 from .graph import DEGREE_FLOOR, EdgeLayout, WeightedAdjacency, renormalize
 
 MAX_LAYERS = 4
-# social pairs per block of the backward's per-pair inner products; bounds
-# the gathered (pairs, layers, dim) temporaries
-SDDMM_CHUNK = 8192
 
 
 @dataclass
@@ -80,7 +78,10 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     and gives dLoss/d degree_r = -T_r / (2 max(degree_r, floor)) where the
     degree is not floored.  Social pair (a, b) adds
     dinv_a dinv_b sum_l (<g_{l+1}[a], X_l[b]> + <g_{l+1}[b], X_l[a]>),
-    the only per-entry products needed.
+    the only per-entry products needed.  Both ends of a social pair are
+    users, so that sum is one row-wise dot <Z1[a], Z2[b]> of the user rows
+    Z1 = [g_1 .. g_L | X_0 .. X_{L-1}] and Z2 = [X_0 .. X_{L-1} | g_1 .. g_L],
+    taken in blocks of `graph.PAIR_BLOCK` pairs.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
     states, readout = layer_readout(embeddings.data, layers, operator)
@@ -98,14 +99,16 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
             embeddings._accumulate(g)
         if rho.requires_grad:
             g_degree = np.where(degrees >= DEGREE_FLOOR, -0.5 * T * dinv * dinv, 0.0)
-            gs = np.stack(upper[::-1], axis=1)      # g_1 .. g_L
-            xs = np.stack(states[:-1], axis=1)      # X_0 .. X_{L-1}
+            M = layout.user_count
+            grads = [x[:M] for x in upper[::-1]]    # g_1 .. g_L
+            lowers = [x[:M] for x in states[:-1]]   # X_0 .. X_{L-1}
+            Z1 = np.concatenate(grads + lowers, axis=1)
+            Z2 = np.concatenate(lowers + grads, axis=1)
             a, b = layout.social_a, layout.social_b
             pair = np.empty(layout.social_count)
-            for lo in range(0, layout.social_count, SDDMM_CHUNK):
-                ca, cb = a[lo:lo + SDDMM_CHUNK], b[lo:lo + SDDMM_CHUNK]
-                pair[lo:lo + SDDMM_CHUNK] = (np.einsum("kld,kld->k", gs[ca], xs[cb])
-                                             + np.einsum("kld,kld->k", gs[cb], xs[ca]))
+            for lo in range(0, layout.social_count, graph.PAIR_BLOCK):
+                hi = lo + graph.PAIR_BLOCK
+                np.einsum("kd,kd->k", Z1[a[lo:hi]], Z2[b[lo:hi]], out=pair[lo:hi])
             rho._accumulate(pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b])
 
     return ad._make(readout, (rho, embeddings), backward)

@@ -10,9 +10,10 @@ with w clamped to [1e-6, 1 - 1e-6] first, and the final weight is
     rho = min(1, relax + epsilon).
 Stochastic mode draws delta uniformly per pair; deterministic mode fixes
 delta = 0.5, which makes rho a monotone function of w alone.
-`confidences` (one fused tape op over all pairs) and `relax_sample` are
-written on the autodiff tape; training records them on the parameter leaves
-and `denoise` runs them on constants.
+`confidences` (one fused tape op over all pairs, walked in blocks of
+`graph.PAIR_BLOCK` pairs) and `relax_sample` are written on the autodiff
+tape; training records them on the parameter leaves and `denoise` runs them
+on constants.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
+from . import graph
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .graph import EdgeLayout, layout_for
@@ -90,43 +92,69 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     split into row blocks Wa, Wb, Wc, the hidden layer
     [e_a; e_b; e_a * e_b] W1 + b1 is computed as
     (E Wa)[a] + (E Wb)[b] + (e_a * e_b) Wc + b1, so no pairs x 3d block is
-    built.  The backward sums per-pair gradients per user through the
-    layout's one-hot pair matrices.
+    built.  Both passes walk the pairs in blocks of `graph.PAIR_BLOCK`, so
+    the gathers and products of a block stay in cache; only the hidden
+    layer is kept for the backward, and only when a parent needs gradients.
+    The backward sums each block's per-pair gradients [gz | gq * e_b] and
+    [gz | gq * e_a] per user through the layout's per-block one-hot pair
+    matrices, with gz the hidden layer's gradient and gq = gz Wc^T.
     """
     W1, b1, W2, b2 = head
     E, W = embeddings.data, W1.data
     d = W.shape[1]
+    M, n = layout.user_count, layout.social_count
     Wa, Wb, Wc = W[:d], W[d:2 * d], W[2 * d:]
     a, b = layout.social_a, layout.social_b
-    users = E[:layout.user_count]
-    ea, eb = E[a], E[b]
-    pair = ea * eb
-    h = (users @ Wa)[a]
-    h += (users @ Wb)[b]
-    h += pair @ Wc
-    h += b1.data
-    np.tanh(h, out=h)
-    out = expit((h @ W2.data + b2.data).reshape(-1))
+    users = E[:M]
+    UA, UB = users @ Wa, users @ Wb
+    keep = any(t.requires_grad for t in (embeddings,) + tuple(head))
+    H = np.empty((n if keep else min(n, graph.PAIR_BLOCK), d))
+    out = np.empty(n)
+    for lo in range(0, n, graph.PAIR_BLOCK):
+        hi = min(lo + graph.PAIR_BLOCK, n)
+        ca, cb = a[lo:hi], b[lo:hi]
+        h = H[lo:hi] if keep else H[:hi - lo]
+        np.take(UA, ca, axis=0, out=h)
+        h += UB[cb]
+        h += (E[ca] * E[cb]) @ Wc
+        h += b1.data
+        np.tanh(h, out=h)
+        expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
 
     def backward(g):
         gs = g * out * (1.0 - out)
+        w2 = W2.data[:, 0]
+        gW2, gWc = np.zeros((d, 1)), np.zeros((d, d))
+        acc_a, acc_b = np.zeros((M, 2 * d)), np.zeros((M, 2 * d))
+        block = min(n, graph.PAIR_BLOCK)
+        buf_a, buf_b = np.empty((block, 2 * d)), np.empty((block, 2 * d))
+        for lo, hi, users_a, to_a, users_b, to_b in layout.pair_blocks():
+            ca, cb, m = a[lo:hi], b[lo:hi], hi - lo
+            h, ea, eb = H[lo:hi], E[ca], E[cb]
+            gW2 += h.T @ gs[lo:hi, None]
+            gz = buf_a[:m, :d]
+            np.multiply.outer(gs[lo:hi], w2, out=gz)
+            gz *= 1.0 - h * h
+            gWc += (ea * eb).T @ gz
+            gq = gz @ Wc.T
+            np.multiply(gq, eb, out=buf_a[:m, d:])
+            buf_b[:m, :d] = gz
+            np.multiply(gq, ea, out=buf_b[:m, d:])
+            acc_a[users_a] += to_a @ buf_a[:m]
+            acc_b[users_b] += to_b @ buf_b[:m]
         if W2.requires_grad:
-            W2._accumulate(h.T @ gs[:, None])
+            W2._accumulate(gW2)
         if b2.requires_grad:
             b2._accumulate(gs.sum(keepdims=True))
-        gz = np.multiply.outer(gs, W2.data[:, 0])
-        gz *= 1.0 - h * h
+        ga, gb = acc_a[:, :d], acc_b[:, :d]
         if b1.requires_grad:
-            b1._accumulate(gz.sum(axis=0))
-        to_a, to_b = layout.pair_scatter()
-        ga, gb = to_a @ gz, to_b @ gz
+            # every pair's gz is in exactly one first user's sum
+            b1._accumulate(ga.sum(axis=0))
         if W1.requires_grad:
-            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, pair.T @ gz]))
+            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, gWc]))
         if embeddings.requires_grad:
-            gpair = gz @ Wc.T
             gE = np.zeros_like(E)
-            gE[:layout.user_count] = (ga @ Wa.T + gb @ Wb.T
-                                      + to_a @ (gpair * eb) + to_b @ (gpair * ea))
+            gE[:M] = ga @ Wa.T + gb @ Wb.T + acc_a[:, d:] + acc_b[:, d:]
             embeddings._accumulate(gE)
 
     return ad._make(out, (embeddings, W1, b1, W2, b2), backward)

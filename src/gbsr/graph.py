@@ -20,6 +20,10 @@ from .data import Dataset
 from .errors import DataError
 
 DEGREE_FLOOR = 1e-12
+# social pairs per block of the all-pair kernels (`denoiser.confidences` and
+# `backbone.propagate`'s backward): a block's pairs x dim temporaries stay in
+# cache
+PAIR_BLOCK = 2048
 
 
 class EdgeLayout:
@@ -27,8 +31,8 @@ class EdgeLayout:
 
     Entry order: social pairs (a -> b), social pairs (b -> a), interactions
     (user -> item), interactions (item -> user).  The CSR structure of the
-    adjacency and the one-hot pair matrices are built on first use, so
-    evaluation never pays for the ones only a backward pass needs.
+    adjacency and the per-block pair plan are built on first use, so
+    evaluation never pays for the plan, which only a backward pass needs.
     """
 
     def __init__(self, dataset: Dataset):
@@ -46,7 +50,7 @@ class EdgeLayout:
         self.user_count = M
         self.item_count = dataset.item_count
         self._csr_structure = None
-        self._pair_scatter = None
+        self._pair_blocks = None
 
     def _csr(self):
         """(layout-to-CSR entry order, indices, indptr).  Entries are ordered
@@ -62,16 +66,28 @@ class EdgeLayout:
             self._csr_structure = (order, template.indices, template.indptr)
         return self._csr_structure
 
-    def pair_scatter(self):
-        """One-hot (user_count x social_count) matrices of the pairs' first
-        and second users: `P @ X` sums the rows of X per user."""
-        if self._pair_scatter is None:
-            k = np.arange(self.social_count)
-            shape = (self.user_count, self.social_count)
-            self._pair_scatter = tuple(
-                sp.csr_matrix((np.ones(k.size), (users, k)), shape=shape)
-                for users in (self.social_a, self.social_b))
-        return self._pair_scatter
+    def pair_blocks(self):
+        """The social pairs in blocks of PAIR_BLOCK, as a list of
+        (lo, hi, users_a, to_a, users_b, to_b): users_a are the distinct first
+        users of pairs lo..hi-1 and to_a the one-hot (len(users_a) x block)
+        CSR matrix with `to_a @ X` summing the block's rows of X per user;
+        likewise for the second users.  Built once per block size."""
+        if self._pair_blocks is None or self._pair_blocks[0] != PAIR_BLOCK:
+            plan = []
+            for lo in range(0, self.social_count, PAIR_BLOCK):
+                hi = min(lo + PAIR_BLOCK, self.social_count)
+                plan.append((lo, hi) + _one_hot_block(self.social_a[lo:hi])
+                            + _one_hot_block(self.social_b[lo:hi]))
+            self._pair_blocks = (PAIR_BLOCK, plan)
+        return self._pair_blocks[1]
+
+
+def _one_hot_block(users: np.ndarray):
+    """(distinct users, one-hot (distinct x len(users)) CSR matrix)."""
+    distinct, inverse = np.unique(users, return_inverse=True)
+    one_hot = sp.csr_matrix((np.ones(users.size), (inverse, np.arange(users.size))),
+                            shape=(distinct.size, users.size))
+    return distinct, one_hot
 
 
 def renormalize(social_weights: np.ndarray, layout: EdgeLayout):

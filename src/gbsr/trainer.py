@@ -72,6 +72,10 @@ class TrainConfig:
             raise ConfigError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if not (self.beta >= 0.0):
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if self.beta > 0.0 and self.batch_size < 2:
+            # the HSIC term compares at least two distinct batch users
+            raise ConfigError(f"batch_size must be >= 2 when beta > 0, got batch_size="
+                              f"{self.batch_size} and beta={self.beta}")
         if not (self.sigma_sq > 0.0):
             raise ConfigError(f"sigma_sq must be > 0, got {self.sigma_sq}")
         if not (self.temperature > 0.0):

@@ -21,6 +21,12 @@ def central_diff(f, x, h=1e-6):
     return grad
 
 
+# social pairs for the all-pair kernels' block-edge tests: user 0's pairs
+# straddle the edges of blocks of 1, 2 and 3 pairs, and inside one block of 2
+# or 3 a user repeats as first user (0, 2) and another as second user (3)
+STRADDLE_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)]
+
+
 def rel_err(a, b, guard=1e-6):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), guard)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import central_diff
+from conftest import STRADDLE_PAIRS, central_diff
 
 from gbsr import autodiff as ad
 from gbsr import graph
@@ -205,6 +205,29 @@ class TestPropagateOp:
         np.testing.assert_allclose(E_t.grad, E_g.grad, rtol=1e-12, atol=1e-14)
         if rho.size:
             np.testing.assert_allclose(rho_t.grad, rho_g.grad, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("layers", range(1, MAX_LAYERS + 1))
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_rho_gradient_across_pair_blocks(self, monkeypatch, block, layers):
+        monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+        straddle = Dataset(6, 3, [(u, u % 3) for u in range(6)], [], STRADDLE_PAIRS)
+        rho = np.random.default_rng(block).uniform(0.1, 0.9, size=len(STRADDLE_PAIRS))
+        for name, ds, rho in [("straddle", straddle, rho)] + propagation_cases():
+            layout = graph.layout_for(ds)
+            rng = np.random.default_rng(layers)
+            E0 = rng.standard_normal((ds.node_count, 3))
+            W = rng.standard_normal((ds.node_count, 3))
+            grads = []
+            for readout in (propagate, generic_readout):
+                rho_t = ad.Tensor(rho, requires_grad=True)
+                E_t = ad.Tensor(E0, requires_grad=True)
+                (readout(rho_t, E_t, layout, layers) * W).sum().backward()
+                grads.append((rho_t.grad, E_t.grad))
+            (rho_f, E_f), (rho_g, E_g) = grads
+            np.testing.assert_allclose(E_f, E_g, rtol=1e-12, atol=1e-14, err_msg=name)
+            if rho.size:
+                np.testing.assert_allclose(rho_f, rho_g, rtol=1e-12, atol=1e-14,
+                                           err_msg=name)
 
     @pytest.mark.parametrize("layers", range(1, MAX_LAYERS + 1))
     def test_forward_bitwise_equals_csr_chain(self, layers):

@@ -370,6 +370,26 @@ class TestErrors:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_single_user_batch_under_beta_is_exit_1(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--batch-size", "1", "--epochs", "1",
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "batch_size" in err and "beta" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_single_user_batch_without_beta_trains(self, data_dir, tmp_path):
+        code = main(["train", "--batch-size", "1", "--beta", "0", "--epochs", "1",
+                     "--dim", "8", "--layers", "1",
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "metrics.json").exists()
+
     def test_config_file_seed_drives_run_seeds(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=5\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
-from conftest import central_diff
+from conftest import STRADDLE_PAIRS, central_diff
 
 from gbsr import autodiff as ad
 from gbsr import graph
@@ -76,39 +76,61 @@ class TestConfidenceHead:
         assert pair_confidences(p, np.ones((1, 4)), np.ones((1, 4)))[0] == 0.5
 
 
+CYCLE = [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
 class TestConfidenceOp:
     """The fused confidence op's backward, for all five parents, against
-    central differences and against the generic gather/concat/matmul chain."""
+    central differences and against the generic gather/concat/matmul chain,
+    with the pairs in one block and walked in blocks of 1, 2 and 3 pairs."""
 
-    def test_all_parents(self):
-        # users 0-3 sit in two pairs each; rows 4-5 are items, in no pair
-        ds = Dataset(4, 2, train=[(0, 0)], test=[],
-                     social=[(0, 1), (0, 2), (1, 3), (2, 3)])
+    @staticmethod
+    def check_all_parents(users, social):
+        # the two item rows sit in no pair
+        ds = Dataset(users, 2, train=[(0, 0)], test=[], social=social)
         layout = graph.layout_for(ds)
         rng = np.random.default_rng(6)
         params = DenoiserParams.init(3, rng, scale=0.5)
-        arrays = [rng.standard_normal((6, 3)), params.layer1_weight, params.layer1_bias,
-                  params.layer2_weight, params.layer2_bias]
-        w = rng.standard_normal(4)
+        arrays = [rng.standard_normal((ds.node_count, 3)), params.layer1_weight,
+                  params.layer1_bias, params.layer2_weight, params.layer2_bias]
+        w = rng.standard_normal(len(social))
 
         def loss():
             consts = [ad.constant(x) for x in arrays]
             return float((confidences(consts[0], consts[1:], layout).data * w).sum())
 
         fused = [ad.Tensor(x, requires_grad=True) for x in arrays]
-        (confidences(fused[0], fused[1:], layout) * w).sum().backward()
+        out = confidences(fused[0], fused[1:], layout)
+        (out * w).sum().backward()
         generic = [ad.Tensor(x, requires_grad=True) for x in arrays]
         E, (W1, b1, W2, b2) = generic[0], generic[1:]
         ea, eb = ad.gather(E, layout.social_a), ad.gather(E, layout.social_b)
         h = ad.tanh(ad.concat([ea, eb, ea * eb], axis=1) @ W1 + b1)
-        (ad.sigmoid(h @ W2 + b2) * w[:, None]).sum().backward()
+        chain = ad.sigmoid(h @ W2 + b2)
+        (chain * w[:, None]).sum().backward()
 
+        block = graph.PAIR_BLOCK
+        assert [(lo, hi) for lo, hi, *_ in layout.pair_blocks()] == [
+            (lo, min(lo + block, len(social))) for lo in range(0, len(social), block)]
+        np.testing.assert_allclose(out.data, chain.data[:, 0], rtol=1e-14, atol=0)
         for k, (x, f, g) in enumerate(zip(arrays, fused, generic)):
             np.testing.assert_allclose(f.grad, central_diff(loss, x), rtol=1e-6,
                                        atol=1e-9, err_msg=f"parent {k}")
             np.testing.assert_allclose(f.grad, g.grad, rtol=1e-12, atol=1e-15,
                                        err_msg=f"parent {k}")
-        np.testing.assert_array_equal(fused[0].grad[4:], 0.0)
+        np.testing.assert_array_equal(fused[0].grad[users:], 0.0)
+
+    def test_all_parents(self):
+        self.check_all_parents(4, CYCLE)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    @pytest.mark.parametrize("name,users,social", [
+        ("cycle", 4, CYCLE), ("straddle", 6, STRADDLE_PAIRS), ("no_social", 3, [])],
+        ids=["cycle", "straddle", "no_social"])
+    def test_all_parents_across_pair_blocks(self, monkeypatch, name, users, social,
+                                            block):
+        monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+        self.check_all_parents(users, social)
 
 
 class TestParams:

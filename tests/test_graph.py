@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import STRADDLE_PAIRS
+
+from gbsr import graph
 from gbsr.backbone import EmbeddingTable, forward
 from gbsr.data import Dataset
 from gbsr.errors import DataError
@@ -98,6 +101,24 @@ class TestLayout:
 
     def test_layout_cached_per_dataset(self, tiny_dataset):
         assert layout_for(tiny_dataset) is layout_for(tiny_dataset)
+
+    def test_pair_blocks_sum_rows_per_user(self, monkeypatch):
+        # one layout, re-planned whenever the block size changes; each
+        # block's one-hot matrices sum that block's rows per distinct user
+        lay = EdgeLayout(Dataset(6, 1, train=[], test=[], social=STRADDLE_PAIRS))
+        n = len(STRADDLE_PAIRS)
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        for block in (1, 2, 3, 64, 2):
+            monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+            plan = lay.pair_blocks()
+            assert [p[:2] for p in plan] == [
+                (lo, min(lo + block, n)) for lo in range(0, n, block)]
+            for lo, hi, users_a, to_a, users_b, to_b in plan:
+                for pair_users, users, one_hot in ((lay.social_a, users_a, to_a),
+                                                   (lay.social_b, users_b, to_b)):
+                    np.testing.assert_array_equal(users, np.unique(pair_users[lo:hi]))
+                    want = [X[lo:hi][pair_users[lo:hi] == u].sum(axis=0) for u in users]
+                    np.testing.assert_array_equal(one_hot @ X[lo:hi], want)
 
 
 class TestAgainstDenseOracle:

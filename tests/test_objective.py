@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from gbsr import autodiff as ad
-from gbsr import graph, hsic, objective
+from gbsr import backbone, graph, hsic, objective
 from gbsr.data import Dataset
-from gbsr.denoiser import DenoiserParams
+from gbsr.denoiser import DenoiserParams, denoise
+from gbsr.evaluation import evaluate
 from gbsr.errors import ConfigError, DataError, NumericError
 from gbsr.objective import (MARGIN_CLAMP, PARAM_BLOCKS, gradients,
                             plain_original_readout)
@@ -328,6 +329,25 @@ class TestTapeSize:
                   sigma_sq=config.sigma_sq, detach_original=detach_original,
                   kernel_normalize=config.kernel_normalize)
         assert len(count) == nodes
+
+
+class TestBackwardOnlyPlan:
+    def test_evaluation_leaves_pair_plan_unbuilt(self):
+        # the per-block one-hot pair matrices serve only the confidence op's
+        # backward: the evaluation path and a loss without gradients never
+        # build them, and the first backward does
+        _, _, E, params, batch, deltas = make_instance()
+        ds = Dataset(4, 3, [(0, 0), (1, 1), (2, 2), (3, 0)], [(0, 1), (1, 2)],
+                     [(0, 1), (1, 2), (2, 3)])
+        layout = graph.layout_for(ds)
+        cmap = denoise(params, E, ds)
+        reps = backbone.forward(backbone.EmbeddingTable(E, 2), graph.build_adjacency(ds, cmap))
+        evaluate(reps, ds, (1, 2))
+        kwargs = {"layers": 2, "beta": 1.0, "reg_lambda": 1e-3, "sigma_sq": 1.0}
+        gradients(E, params, layout, batch, deltas, with_grads=False, **kwargs)
+        assert layout._pair_blocks is None
+        gradients(E, params, layout, batch, deltas, with_grads=True, **kwargs)
+        assert layout._pair_blocks is not None
 
 
 class TestGradientValidation:

@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
+    def test_single_user_batches_need_beta_zero(self):
+        # the HSIC term needs two distinct batch users, so the pair is a
+        # config error before any data is read
+        with pytest.raises(ConfigError, match="batch_size.*beta"):
+            TrainConfig(batch_size=1)
+        with pytest.raises(ConfigError, match="batch_size.*beta"):
+            TrainConfig(batch_size=1, beta=1e-9)
+        assert TrainConfig(batch_size=1, beta=0.0).batch_size == 1
+        assert TrainConfig(batch_size=2).beta == 1.0
+
     def test_selection_cutoff(self):
         assert TrainConfig(cutoffs=(10, 20)).selection_cutoff == 20
         assert TrainConfig(cutoffs=(5,)).selection_cutoff == 5
