@@ -2,8 +2,10 @@
 
 Configuration precedence: explicit flags > config file > defaults.  The
 config file is flat `key=value` lines (# comments allowed); unknown keys are
-rejected.  Every run writes a manifest.json capturing the fully resolved
-configuration, so a run can be reproduced from its output directory alone.
+rejected.  Each key's flag is `--` plus the key with `_` turned into `-`
+(`embedding_dim` is `--embedding-dim`).  Every run writes a manifest.json
+capturing the fully resolved configuration, so a run can be reproduced from
+its output directory alone.
 
 Exit codes: 0 success, 1 configuration errors, 2 data errors, 3 numeric or
 checkpoint failures.
@@ -13,7 +15,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -31,7 +33,8 @@ class RunConfig:
     social: Optional[str] = None
     out: Optional[str] = None
     checkpoint: Optional[str] = None
-    seeds: Tuple[int, ...] = (0,)
+    # train fits one model per seed; the first also seeds the split and synth
+    seed: Tuple[int, ...] = (0,)
     split_ratio: float = 0.8
     # synthetic generator knobs
     clusters: int = 2
@@ -47,6 +50,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.split_ratio <= 1.0):
             raise ConfigError(f"split_ratio must lie in (0, 1], got {self.split_ratio}")
+        if any(s < 0 for s in self.seed):
+            raise ConfigError(f"every seed must be >= 0, got {list(self.seed)}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -68,10 +73,10 @@ def _parse_int_list(raw: str) -> Tuple[int, ...]:
 # every config key, file or flag, parses by the type its dataclass field declares
 _PARSERS = {int: int, float: float, bool: _parse_bool,
             Tuple[int, ...]: _parse_int_list, Optional[str]: str}
-_TRAIN_KEYS = {f.name for f in fields(trainer.TrainConfig)}
-_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig),
-              **{k: t for k, t in typing.get_type_hints(RunConfig).items()
-                 if k not in ("train", "explicit_train")}}
+_RUN_KEYS = {k: t for k, t in typing.get_type_hints(RunConfig).items()
+             if k not in ("train", "explicit_train")}
+# `seed` is a RunConfig list; TrainConfig.seed is only ever its first entry
+_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig), **_RUN_KEYS}
 
 
 def _coerce_key(key: str, raw: str):
@@ -85,8 +90,12 @@ def read_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"missing config file: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {p}: {err}") from None
     out = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -103,17 +112,13 @@ def read_config_file(path) -> dict:
 def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
     """defaults < config file < explicit flags"""
     merged = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    train_kwargs = {k: v for k, v in merged.items() if k in _TRAIN_KEYS}
-    run_kwargs = {k: v for k, v in merged.items() if k not in _TRAIN_KEYS}
-    if "seeds" in run_kwargs:
-        if not run_kwargs["seeds"]:
+    merged.update((k, v) for k, v in flag_values.items() if v is not None)
+    run_kwargs = {k: v for k, v in merged.items() if k in _RUN_KEYS}
+    train_kwargs = {k: v for k, v in merged.items() if k not in _RUN_KEYS}
+    if "seed" in run_kwargs:
+        if not run_kwargs["seed"]:
             raise ConfigError("at least one seed is required")
-        train_kwargs.setdefault("seed", run_kwargs["seeds"][0])
-    elif "seed" in train_kwargs:
-        run_kwargs["seeds"] = (train_kwargs["seed"],)
+        train_kwargs["seed"] = run_kwargs["seed"][0]
     return RunConfig(train=trainer.TrainConfig(**train_kwargs),
                      explicit_train=frozenset(train_kwargs), **run_kwargs)
 
@@ -122,6 +127,13 @@ def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) in (None, ""):
             raise ConfigError(f"--{name.replace('_', '-')} is required for this command")
+
+
+def _check_out(out: str) -> None:
+    """Fail before any work when --out cannot become a directory."""
+    for p in (Path(out), *Path(out).parents):
+        if p.exists() and not p.is_dir():
+            raise ConfigError(f"--out {out}: {p} exists and is not a directory")
 
 
 def _load_dataset(cfg: RunConfig) -> data_mod.Dataset:
@@ -140,7 +152,7 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: List[str]) -> None:
         "effective_config": trainer.config_as_dict(cfg.train),
         "inputs": {"interactions": cfg.interactions, "social": cfg.social,
                    "checkpoint": cfg.checkpoint, "split_ratio": cfg.split_ratio},
-        "seeds": list(cfg.seeds),
+        "seeds": list(cfg.seed),
         "synthetic": {"clusters": cfg.clusters,
                       "users_per_cluster": cfg.users_per_cluster,
                       "items_per_cluster": cfg.items_per_cluster,
@@ -161,7 +173,7 @@ def run_train(cfg: RunConfig) -> None:
     outputs: List[str] = []
     runs: List[evaluation.RunMetrics] = []
     users = 0
-    for seed in cfg.seeds:
+    for seed in cfg.seed:
         train_cfg = replace(cfg.train, seed=int(seed))
         best, log = trainer.fit(train_cfg, dataset)
         ckpt_name = f"checkpoint_seed{seed}.bin"
@@ -198,35 +210,32 @@ def _load_checkpoint_and_data(cfg: RunConfig):
             + ", ".join(f"{k}={getattr(ckpt_cfg, k)!r}, not {overrides[k]!r}"
                         for k in clashes)
             + "; only cutoffs and seed can be set for a saved model")
-    merged = replace(ckpt_cfg, **overrides)
-    dataset = data_mod.load_dataset(cfg.interactions, cfg.social,
-                                    split_ratio=cfg.split_ratio,
-                                    seed=merged.seed)
+    train = replace(ckpt_cfg, **overrides)
+    cfg = replace(cfg, train=train, seed=(train.seed,))
+    dataset = _load_dataset(cfg)
     rows = state.embeddings.matrix.shape[0]
     if rows != dataset.node_count:
         raise DataError(
             f"checkpoint {cfg.checkpoint} has {rows} embedding rows but the dataset "
             f"has {dataset.node_count} users + items; it was trained on other data")
-    return state, merged, dataset
+    return state, cfg, dataset
 
 
 def run_evaluate(cfg: RunConfig) -> None:
-    state, ckpt_cfg, dataset = _load_checkpoint_and_data(cfg)
-    report = trainer.evaluate_state(state, dataset, ckpt_cfg)
+    state, cfg, dataset = _load_checkpoint_and_data(cfg)
+    report = trainer.evaluate_state(state, dataset, cfg.train)
     atomic_write_text(Path(cfg.out) / "metrics.json",
                       _json_text(report.to_json_dict()))
-    merged = replace(cfg, train=ckpt_cfg)
-    _write_manifest(merged, "evaluate", ["metrics.json"])
+    _write_manifest(cfg, "evaluate", ["metrics.json"])
 
 
 def run_export_confidence(cfg: RunConfig) -> None:
-    state, ckpt_cfg, dataset = _load_checkpoint_and_data(cfg)
+    state, cfg, dataset = _load_checkpoint_and_data(cfg)
     cmap = denoiser_mod.denoise(state.denoiser, state.embeddings.matrix,
                                 dataset, mode="deterministic")
     atomic_write_text(Path(cfg.out) / "confidence.csv",
                       denoiser_mod.confidence_csv(cmap))
-    merged = replace(cfg, train=ckpt_cfg)
-    _write_manifest(merged, "export-confidence", ["confidence.csv"])
+    _write_manifest(cfg, "export-confidence", ["confidence.csv"])
 
 
 def run_synth(cfg: RunConfig) -> None:
@@ -255,90 +264,66 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# flag help by config key; a key without an entry gets none
+_HELP = {
+    "out": "output directory",
+    "seed": "comma-separated seed list",
+    "interactions": "user-item edge file (TSV)",
+    "social": "user-user edge file (TSV)",
+    "split_ratio": "per-user train fraction (default 0.8)",
+    "checkpoint": "checkpoint file from train",
+    "beta": "bottleneck weight",
+    "sigma_sq": "RBF kernel bandwidth (sigma squared)",
+    "layers": "propagation depth",
+    "reg_lambda": "L2 weight on the embedding table",
+    "epsilon": "additive floor on relaxed social weights",
+    "temperature": "relaxation temperature",
+    "patience": "evaluations without improvement before stopping",
+    "cutoffs": "comma-separated ranking cutoffs",
+    "validation_ratio": "carve this per-user train fraction out for model selection",
+    "detach_original": "hold the original-graph branch constant in the bottleneck",
+    "kernel_normalize": "L2-normalize rows before the kernels (false feeds raw rows)",
+}
+# the keys of every command that reads the edge files
+_DATA_KEYS = ("out", "seed", "interactions", "social", "split_ratio")
+# subcommand -> (runner, help, the config keys it takes as flags)
+_COMMANDS = {
+    "train": (run_train, "fit on an interaction + social dataset",
+              _DATA_KEYS + tuple(k for k in typing.get_type_hints(trainer.TrainConfig)
+                                 if k not in _RUN_KEYS)),
+    "evaluate": (run_evaluate, "rank with a saved checkpoint",
+                 _DATA_KEYS + ("checkpoint", "cutoffs")),
+    "export-confidence": (run_export_confidence,
+                          "write per-social-edge confidence CSV",
+                          _DATA_KEYS + ("checkpoint",)),
+    "synth": (run_synth, "generate a planted-noise dataset",
+              ("out", "seed", "clusters", "users_per_cluster", "items_per_cluster",
+               "interaction_rate", "social_rate", "noise_fraction")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gbsr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def key(sp, flag, dest=None, **kwargs):
-        """A flag for a config key, parsed by the key's declared type."""
-        dest = dest or flag[2:].replace("-", "_")
-        sp.add_argument(flag, dest=dest, type=_PARSERS[_KEY_TYPES[dest]], **kwargs)
-
-    def add_common(sp):
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value config file")
-        key(sp, "--out", help="output directory")
-        key(sp, "--seed", "seeds", help="comma-separated seed list")
-
-    def add_data(sp):
-        key(sp, "--interactions", help="user-item edge file (TSV)")
-        key(sp, "--social", help="user-user edge file (TSV)")
-        key(sp, "--split-ratio", help="per-user train fraction (default 0.8)")
-
-    def add_train_flags(sp):
-        key(sp, "--beta", help="bottleneck weight")
-        key(sp, "--sigma2", "sigma_sq", help="RBF kernel bandwidth (sigma squared)")
-        key(sp, "--layers", help="propagation depth")
-        key(sp, "--lr", "learning_rate")
-        key(sp, "--batch-size")
-        key(sp, "--lambda", "reg_lambda", help="L2 weight on the embedding table")
-        key(sp, "--epsilon", help="additive floor on relaxed social weights")
-        key(sp, "--temperature", help="relaxation temperature")
-        key(sp, "--epochs")
-        key(sp, "--eval-every")
-        key(sp, "--patience", help="evaluations without improvement before stopping")
-        key(sp, "--dim", "embedding_dim")
-        key(sp, "--cutoffs", help="comma-separated ranking cutoffs")
-        key(sp, "--validation-ratio",
-            help="carve this per-user train fraction out for model selection")
-        sp.add_argument("--detach-original", dest="detach_original",
-                        action="store_const", const=True,
-                        help="hold the original-graph branch constant in the bottleneck")
-        sp.add_argument("--no-kernel-normalize", dest="kernel_normalize",
-                        action="store_const", const=False,
-                        help="feed raw rows to the kernels instead of L2-normalized ones")
-
-    sp_train = sub.add_parser("train", help="fit on an interaction + social dataset")
-    add_common(sp_train)
-    add_data(sp_train)
-    add_train_flags(sp_train)
-
-    sp_eval = sub.add_parser("evaluate", help="rank with a saved checkpoint")
-    add_common(sp_eval)
-    add_data(sp_eval)
-    key(sp_eval, "--checkpoint", help="checkpoint file from train")
-    key(sp_eval, "--cutoffs")
-
-    sp_conf = sub.add_parser("export-confidence",
-                             help="write per-social-edge confidence CSV")
-    add_common(sp_conf)
-    add_data(sp_conf)
-    key(sp_conf, "--checkpoint", help="checkpoint file from train")
-
-    sp_synth = sub.add_parser("synth", help="generate a planted-noise dataset")
-    add_common(sp_synth)
-    for flag in ("--clusters", "--users-per-cluster", "--items-per-cluster",
-                 "--interaction-rate", "--social-rate", "--noise-fraction"):
-        key(sp_synth, flag)
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=_PARSERS[_KEY_TYPES[key]], help=_HELP.get(key))
     return parser
 
 
-_COMMANDS = {
-    "train": run_train,
-    "evaluate": run_evaluate,
-    "export-confidence": run_export_confidence,
-    "synth": run_synth,
-}
-
-
 def run(argv=None) -> None:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)
     file_values = read_config_file(config_path) if config_path else {}
     cfg = resolve_config(file_values, args)
-    _COMMANDS[command](cfg)
+    if cfg.out:
+        _check_out(cfg.out)
+    _COMMANDS[command][0](cfg)
 
 
 def main(argv=None) -> int:

@@ -69,6 +69,8 @@ class SyntheticSpec:
             raise DataError("noise_edge_fraction must be >= 0")
         if self.noise_edge_fraction > 0 and self.cluster_count < 2:
             raise DataError("planting cross-cluster noise needs at least 2 clusters")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 class Dataset:
@@ -223,7 +225,10 @@ def _read_edge_file(path) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing input file: {p}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read input file {p}: {err}") from None
     lines = text.splitlines()
     rows = _parse_vectorized(text, lines)
     if rows is None:

@@ -64,22 +64,19 @@ class TrainConfig:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not (1 <= self.layers <= MAX_LAYERS):
             raise ConfigError(f"layers must lie in [1, {MAX_LAYERS}], got {self.layers}")
-        if not (self.learning_rate >= 0.0):  # also rejects NaN
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # the comparisons also reject NaN
+        for name in ("learning_rate", "reg_lambda", "beta"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("sigma_sq", "temperature"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.reg_lambda >= 0.0):
-            raise ConfigError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if not (self.beta >= 0.0):
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.beta > 0.0 and self.batch_size < 2:
             # the HSIC term compares at least two distinct batch users
             raise ConfigError(f"batch_size must be >= 2 when beta > 0, got batch_size="
                               f"{self.batch_size} and beta={self.beta}")
-        if not (self.sigma_sq > 0.0):
-            raise ConfigError(f"sigma_sq must be > 0, got {self.sigma_sq}")
-        if not (self.temperature > 0.0):
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.epochs < 0:
@@ -88,6 +85,8 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.cutoffs or any((not isinstance(n, int)) or n < 1 for n in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
         if not (0.0 <= self.validation_ratio < 1.0):
@@ -281,8 +280,11 @@ def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err}") from None
     at = len(CHECKPOINT_MAGIC)
     if blob[:at] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")

@@ -1,13 +1,16 @@
 """End-to-end command-line runs: files produced, precedence, exit codes."""
 
+import argparse
 import json
+import re
 import typing
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
-from gbsr.cli import RunConfig, main, read_config_file
+from gbsr.cli import RunConfig, build_parser, main, read_config_file
 from gbsr.trainer import TrainConfig
 
 SYNTH_FLAGS = ["--clusters", "2", "--users-per-cluster", "12",
@@ -43,6 +46,24 @@ def train_dir(tmp_path_factory, data_dir):
                  "--out", str(d)])
     assert code == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def two_seed_dir(tmp_path_factory, data_dir):
+    """`train --seed 0,1` under a config file that says seed=5."""
+    d = tmp_path_factory.mktemp("two_seeds")
+    cfg = d / "run.cfg"
+    cfg.write_text(CONFIG_TEXT + "seed=5\n", encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--seed", "0,1", "--epochs", "1",
+                 "--interactions", str(data_dir / "interactions.tsv"),
+                 "--social", str(data_dir / "social.tsv"),
+                 "--out", str(d / "run")])
+    assert code == 0
+    return d / "run"
+
+
+def _no_files(path) -> bool:
+    return not path.exists() or not any(path.iterdir())
 
 
 class TestSynth:
@@ -250,6 +271,38 @@ class TestEvaluate:
         assert not (out / "confidence.csv").exists()
 
 
+class TestSeed:
+    """`seed` is one key: a comma-separated list whose first entry seeds the
+    split and the generator; a flag beats the config file as for any key."""
+
+    def test_flag_list_beats_file_seed(self, two_seed_dir):
+        manifest = json.loads((two_seed_dir / "manifest.json").read_text())
+        assert manifest["effective_config"]["seed"] == 0
+        assert manifest["seeds"] == [0, 1]
+
+    def test_synth_flag_beats_file_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n", encoding="utf-8")
+        flag, both = tmp_path / "flag", tmp_path / "both"
+        assert main(["synth", "--out", str(flag), "--seed", "7"] + SYNTH_FLAGS) == 0
+        assert main(["synth", "--config", str(cfg), "--out", str(both), "--seed", "7"]
+                    + SYNTH_FLAGS) == 0
+        for name in ("interactions.tsv", "social.tsv", "noise_labels.tsv"):
+            assert (both / name).read_bytes() == (flag / name).read_bytes()
+
+    def test_evaluate_manifest_names_the_checkpoint_seed(self, two_seed_dir, data_dir,
+                                                         tmp_path):
+        code = main(["evaluate",
+                     "--checkpoint", str(two_seed_dir / "checkpoint_seed1.bin"),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["effective_config"]["seed"] == 1
+        assert manifest["seeds"] == [1]
+
+
 class TestExportConfidence:
     def test_csv_contents(self, train_dir, data_dir, tmp_path):
         code = main(["export-confidence",
@@ -329,6 +382,17 @@ class TestErrors:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(),
+                                      lambda p: p.write_bytes(b"seed=\xe9\n")],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_file_is_exit_1(self, tmp_path, make, capsys):
+        cfg = tmp_path / "run.cfg"
+        make(cfg)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert _no_files(out)
+
     def test_bad_config_value_is_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs=soon\n", encoding="utf-8")
@@ -339,7 +403,7 @@ class TestErrors:
     def test_empty_test_split_is_exit_2_before_training(self, data_dir, tmp_path,
                                                         extra, capsys):
         out = tmp_path / "out"
-        code = main(["train", "--split-ratio", "1", "--dim", "8", "--layers", "2",
+        code = main(["train", "--split-ratio", "1", "--embedding-dim", "8", "--layers", "2",
                      "--interactions", str(data_dir / "interactions.tsv"),
                      "--social", str(data_dir / "social.tsv"),
                      "--out", str(out)] + extra)
@@ -383,12 +447,83 @@ class TestErrors:
 
     def test_single_user_batch_without_beta_trains(self, data_dir, tmp_path):
         code = main(["train", "--batch-size", "1", "--beta", "0", "--epochs", "1",
-                     "--dim", "8", "--layers", "1",
+                     "--embedding-dim", "8", "--layers", "1",
                      "--interactions", str(data_dir / "interactions.tsv"),
                      "--social", str(data_dir / "social.tsv"),
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--learning-rate", "inf"), ("--reg-lambda", "inf"), ("--beta", "inf"),
+        ("--sigma-sq", "inf"), ("--temperature", "inf"), ("--seed", "-1"),
+        ("--seed", "0,-1"),
+    ])
+    def test_value_outside_domain_is_exit_1(self, data_dir, tmp_path, flag, value,
+                                            capsys):
+        out = tmp_path / "out"
+        code = main(["train", flag, value,
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert _no_files(out)
+
+    def test_negative_synth_seed_is_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert _no_files(out)
+
+    def test_edge_file_that_is_a_directory_is_exit_2(self, data_dir, tmp_path, capsys):
+        (tmp_path / "edges").mkdir()
+        out = tmp_path / "out"
+        code = main(["train", "--interactions", str(tmp_path / "edges"),
+                     "--social", str(data_dir / "social.tsv"), "--out", str(out)])
+        assert code == 2
+        assert "cannot read input file" in capsys.readouterr().err
+        assert _no_files(out)
+
+    def test_edge_file_not_utf8_is_exit_2(self, data_dir, tmp_path, capsys):
+        social = tmp_path / "s.tsv"
+        social.write_bytes(b"1\t2\n\xe9\t3\n")
+        out = tmp_path / "out"
+        code = main(["train", "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(social), "--out", str(out)])
+        assert code == 2
+        assert f"cannot read input file {social}" in capsys.readouterr().err
+        assert _no_files(out)
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-confidence"])
+    @pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_is_exit_3(self, data_dir, tmp_path, command, name,
+                                             capsys):
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(tmp_path / name),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"), "--out", str(out)])
+        assert code == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert _no_files(out)
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "export-confidence",
+                                         "synth"])
+    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+    def test_out_naming_a_file_is_exit_1(self, train_dir, data_dir, tmp_path, command,
+                                         out_name, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep")
+        argv = [command, "--out", str(tmp_path / out_name)]
+        if command != "synth":
+            argv += ["--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv")]
+        if command in ("evaluate", "export-confidence"):
+            argv += ["--checkpoint", str(train_dir / "checkpoint_seed0.bin")]
+        assert main(argv) == 1
+        assert "exists and is not a directory" in capsys.readouterr().err
+        assert taken.read_bytes() == b"keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_config_file_seed_drives_run_seeds(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -409,6 +544,49 @@ _SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), bool: ("yes", True),
             Optional[str]: ("data/in.tsv", "data/in.tsv")}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestFlags:
+    def test_every_flag_is_its_key(self):
+        dests = set()
+        for command, sp in _subparsers().items():
+            for action in sp._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+                assert action.dest in _KEY_TYPES or action.dest == "config", command
+                dests.add(action.dest)
+        # and every config key can be set by a flag
+        assert dests - {"config"} == set(_KEY_TYPES)
+
+    @pytest.mark.parametrize("old", [
+        ["--dim", "8"], ["--lr", "0.1"], ["--lambda", "0"], ["--sigma2", "1"],
+        ["--no-kernel-normalize"], ["--embed", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_other_spellings_are_unrecognized(self, old, capsys):
+        assert main(["train"] + old) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_boolean_flags_take_a_value(self, data_dir, tmp_path):
+        assert main(["train", "--detach-original"]) == 1
+        code = main(["train", "--detach-original", "true", "--kernel-normalize", "false",
+                     "--epochs", "1", "--embedding-dim", "8", "--layers", "1",
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["effective_config"]
+        assert config["detach_original"] is True
+        assert config["kernel_normalize"] is False
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("key", sorted(_KEY_TYPES))
     def test_value_parses_to_declared_type(self, key, tmp_path):
@@ -417,3 +595,14 @@ class TestConfigFile:
         cfg.write_text(f"{key}={raw}\n", encoding="utf-8")
         got = read_config_file(cfg)[key]
         assert got == want and type(got) is type(want)
+
+    def test_readme_names_exactly_the_config_keys(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`([a-z][a-z0-9_-]*)`", section))
+        cfg = tmp_path / "one.cfg"
+        for key in sorted(named):
+            raw = _SAMPLES[_KEY_TYPES[key]][0] if key in _KEY_TYPES else "1"
+            cfg.write_text(f"{key}={raw}\n", encoding="utf-8")
+            assert key in read_config_file(cfg)
+        assert named == set(_KEY_TYPES)

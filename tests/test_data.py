@@ -100,6 +100,20 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="nowhere"):
             load_dataset(tmp_path / "nowhere.tsv", social)
 
+    def test_directory_is_data_error(self, tmp_path):
+        social = tmp_path / "s.tsv"
+        write_edges(social, [(1, 2)])
+        (tmp_path / "edges").mkdir()
+        with pytest.raises(DataError, match="cannot read input file .*edges"):
+            load_dataset(tmp_path / "edges", social)
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        social = tmp_path / "s.tsv"
+        social.write_bytes(b"1\t2\n\xff\t3\n")
+        write_edges(tmp_path / "i.tsv", [(1, 5)])
+        with pytest.raises(DataError, match=r"cannot read input file .*s\.tsv: 'utf-8'"):
+            load_dataset(tmp_path / "i.tsv", social)
+
     def test_ids_must_fit_int64(self, tmp_path):
         inter = tmp_path / "i.tsv"
         social = tmp_path / "s.tsv"
@@ -437,6 +451,10 @@ class TestSynthetic:
     def test_noise_needs_two_clusters(self):
         with pytest.raises(DataError, match="clusters"):
             SyntheticSpec(1, 5, 5, 0.5, 0.5, 0.5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(2, 5, 5, 0.5, 0.5, 0.5, seed=-1)
 
     def test_rate_bounds_validated(self):
         with pytest.raises(DataError):

@@ -298,8 +298,8 @@ class TestMultiSeed:
     SYNTH = ["--clusters", "2", "--users-per-cluster", "12",
              "--items-per-cluster", "10", "--interaction-rate", "0.4",
              "--social-rate", "0.3", "--noise-fraction", "0.5"]
-    TRAIN = ["--dim", "8", "--layers", "2", "--lr", "0.05", "--batch-size", "64",
-             "--epochs", "2", "--beta", "0.5", "--cutoffs", "5,10"]
+    TRAIN = ["--embedding-dim", "8", "--layers", "2", "--learning-rate", "0.05",
+             "--batch-size", "64", "--epochs", "2", "--beta", "0.5", "--cutoffs", "5,10"]
 
     def _train(self, tmp_path, name, seeds):
         from gbsr.cli import main

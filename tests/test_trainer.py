@@ -16,6 +16,11 @@ from gbsr.trainer import (CHECKPOINT_MAGIC, INIT_SCALE, Adam, TrainConfig,
                           save_checkpoint, train_epoch)
 
 
+# an infinite temperature or bandwidth would otherwise train without complaint
+OUT_OF_DOMAIN = [(k, float("inf")) for k in ("learning_rate", "reg_lambda", "beta",
+                                             "sigma_sq", "temperature")] + [("seed", -1)]
+
+
 def quick_config(**kw):
     base = dict(embedding_dim=8, layers=2, learning_rate=0.05, batch_size=64,
                 epochs=3, patience=50, beta=0.5, seed=0)
@@ -42,7 +47,7 @@ class TestConfig:
         {"patience": 0}, {"cutoffs": ()}, {"cutoffs": (0,)},
         {"validation_ratio": 1.0}, {"learning_rate": float("nan")},
         {"reg_lambda": float("nan")}, {"beta": float("nan")},
-    ])
+    ] + [{k: v} for k, v in OUT_OF_DOMAIN])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
@@ -372,6 +377,11 @@ class TestCheckpoint:
         assert len(blob) == start + 8 * sum(int(np.prod(shape))
                                             for _, shape in header["arrays"])
 
+    @pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+    def test_unreadable_path_is_checkpoint_error(self, tmp_path, name):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / name)
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -463,10 +473,13 @@ class TestCheckpoint:
         (lambda h: h["config"].__setitem__("embedding_dim", 4),
          r"arrays do not form a model: embedding width 8, denoiser width 8 "
          r"and embedding_dim=4 differ$"),
-    ], ids=["bad-config-value", "missing-counter", "missing-array",
-            "unknown-array", "duplicate-array", "negative-dim",
-            "infinite-dim", "unhashable-name", "moment-shape",
-            "inconsistent-blocks", "config-width"])
+    ] + [(lambda h, k=k, v=v: h["config"].__setitem__(k, v),
+          rf"bad checkpoint header: {k} must be") for k, v in OUT_OF_DOMAIN],
+        ids=["bad-config-value", "missing-counter", "missing-array",
+             "unknown-array", "duplicate-array", "negative-dim",
+             "infinite-dim", "unhashable-name", "moment-shape",
+             "inconsistent-blocks", "config-width"]
+        + [f"config-{k}" for k, _ in OUT_OF_DOMAIN])
     def test_bad_header_detected(self, tmp_path, small_synthetic, edit,
                                  message):
         ds, _ = small_synthetic
