@@ -126,16 +126,6 @@ class Tensor:
 
         return _make(a.data / scale, (a,), backward)
 
-    def __pow__(self, exponent):
-        p = float(exponent)
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * p * np.power(a.data, p - 1.0))
-
-        return _make(np.power(a.data, p), (a,), backward)
-
     def __matmul__(self, other):
         a, b = self, _coerce(other)
         if a.data.ndim != 2 or b.data.ndim != 2:
@@ -148,18 +138,6 @@ class Tensor:
                 b._accumulate(a.data.T @ g)
 
         return _make(a.data @ b.data, (a, b), backward)
-
-    @property
-    def T(self):
-        a = self
-        if a.data.ndim != 2:
-            raise ValueError("T is implemented for 2-D tensors only")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.T)
-
-        return _make(a.data.T, (a,), backward)
 
     # -- reductions ---------------------------------------------------------
 
@@ -277,16 +255,6 @@ def minimum(t: Tensor, bound: float) -> Tensor:
             t._accumulate(g * mask)
 
     return _make(np.minimum(t.data, bound), (t,), backward)
-
-
-def maximum(t: Tensor, bound: float) -> Tensor:
-    mask = t.data >= bound
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * mask)
-
-    return _make(np.maximum(t.data, bound), (t,), backward)
 
 
 # -- indexing and structure -------------------------------------------------

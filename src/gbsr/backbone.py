@@ -50,10 +50,6 @@ class NodeRepresentations:
     readout: np.ndarray
     user_count: int
 
-    @property
-    def item_count(self) -> int:
-        return self.readout.shape[0] - self.user_count
-
 
 def layer_readout(embeddings: np.ndarray, layers: int, operator):
     """Layer states E, A E, ..., A^L E and their mean (the readout)."""

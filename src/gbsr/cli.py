@@ -33,7 +33,7 @@ class RunConfig:
     social: Optional[str] = None
     out: Optional[str] = None
     checkpoint: Optional[str] = None
-    # train fits one model per seed; the first also seeds the split and synth
+    # only train takes several, one model each; the first seeds split and synth
     seed: Tuple[int, ...] = (0,)
     split_ratio: float = 0.8
     # synthetic generator knobs
@@ -321,6 +321,9 @@ def run(argv=None) -> None:
     config_path = args.pop("config", None)
     file_values = read_config_file(config_path) if config_path else {}
     cfg = resolve_config(file_values, args)
+    if command != "train" and len(cfg.seed) > 1:
+        raise ConfigError(f"{command} takes one seed, got {list(cfg.seed)}; "
+                          "only train fits one model per seed")
     if cfg.out:
         _check_out(cfg.out)
     _COMMANDS[command][0](cfg)

@@ -71,15 +71,15 @@ class EdgeLayout:
         (lo, hi, users_a, to_a, users_b, to_b): users_a are the distinct first
         users of pairs lo..hi-1 and to_a the one-hot (len(users_a) x block)
         CSR matrix with `to_a @ X` summing the block's rows of X per user;
-        likewise for the second users.  Built once per block size."""
-        if self._pair_blocks is None or self._pair_blocks[0] != PAIR_BLOCK:
+        likewise for the second users.  Built once per layout."""
+        if self._pair_blocks is None:
             plan = []
             for lo in range(0, self.social_count, PAIR_BLOCK):
                 hi = min(lo + PAIR_BLOCK, self.social_count)
                 plan.append((lo, hi) + _one_hot_block(self.social_a[lo:hi])
                             + _one_hot_block(self.social_b[lo:hi]))
-            self._pair_blocks = (PAIR_BLOCK, plan)
-        return self._pair_blocks[1]
+            self._pair_blocks = plan
+        return self._pair_blocks
 
 
 def _one_hot_block(users: np.ndarray):
@@ -107,12 +107,12 @@ def renormalize(social_weights: np.ndarray, layout: EdgeLayout):
 
 
 class WeightedAdjacency:
-    """The joint adjacency's weighted degrees and normalized operator."""
+    """The joint adjacency's normalized operator."""
 
     def __init__(self, layout: EdgeLayout, social_weights: np.ndarray):
         self.layout = layout
         self.node_count = layout.node_count
-        self.degrees, _, self.operator = renormalize(social_weights, layout)
+        _, _, self.operator = renormalize(social_weights, layout)
 
 
 def layout_for(dataset: Dataset) -> EdgeLayout:
@@ -124,17 +124,15 @@ def layout_for(dataset: Dataset) -> EdgeLayout:
     return layout
 
 
-def build_adjacency(dataset: Dataset, social_weights=None) -> WeightedAdjacency:
-    """Assemble the joint adjacency, optionally re-weighting social pairs.
+def build_adjacency(dataset: Dataset, social_weights) -> WeightedAdjacency:
+    """Assemble the joint adjacency with re-weighted social pairs.
 
     social_weights may be an EdgeConfidenceMap (its relaxed weights are used)
-    or a plain array aligned with dataset.social_pairs; omitted means all 1.
+    or a plain array aligned with dataset.social_pairs (all 1 for the
+    original graph).
     """
     layout = layout_for(dataset)
-    if social_weights is None:
-        w = np.ones(layout.social_count)
-    else:
-        w = _extract_social_weights(dataset, social_weights)
+    w = _extract_social_weights(dataset, social_weights)
     # written so that NaN fails too
     if w.size and not (np.min(w) >= 0.0 and np.max(w) <= 1.0):
         raise DataError("social weights must lie in [0, 1]")

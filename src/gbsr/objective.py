@@ -122,9 +122,8 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
         total = rec + reg * reg_lambda
         ib_value = 0.0
 
-    rec_value, reg_value = float(rec.data), float(reg.data)
-    breakdown = LossBreakdown(rec_value, ib_value, reg_value,
-                              (rec_value + reg_lambda * reg_value) + beta * ib_value)
+    breakdown = LossBreakdown(float(rec.data), ib_value, float(reg.data),
+                              float(total.data))
     if not np.isfinite(breakdown.total):
         raise NumericError(
             f"non-finite training loss: rec={breakdown.rec_loss} "

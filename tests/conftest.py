@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gbsr import autodiff as ad
 from gbsr.data import Dataset
 
 
@@ -25,6 +26,25 @@ def central_diff(f, x, h=1e-6):
 # straddle the edges of blocks of 1, 2 and 3 pairs, and inside one block of 2
 # or 3 a user repeats as first user (0, 2) and another as second user (3)
 STRADDLE_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)]
+
+
+# two tape ops that only the reference chains of the fused ops need
+def inv_sqrt(t):
+    """t ** -0.5, elementwise."""
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g * -0.5 * np.power(t.data, -1.5))
+
+    return ad._make(np.power(t.data, -0.5), (t,), backward)
+
+
+def transpose(t):
+    """The transpose of a 2-D tensor."""
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g.T)
+
+    return ad._make(t.data.T, (t,), backward)
 
 
 def rel_err(a, b, guard=1e-6):

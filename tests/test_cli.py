@@ -273,7 +273,8 @@ class TestEvaluate:
 
 class TestSeed:
     """`seed` is one key: a comma-separated list whose first entry seeds the
-    split and the generator; a flag beats the config file as for any key."""
+    split and the generator; a flag beats the config file as for any key.
+    Only train takes more than one entry."""
 
     def test_flag_list_beats_file_seed(self, two_seed_dir):
         manifest = json.loads((two_seed_dir / "manifest.json").read_text())
@@ -301,6 +302,26 @@ class TestSeed:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["effective_config"]["seed"] == 1
         assert manifest["seeds"] == [1]
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["synth", "evaluate", "export-confidence"])
+    def test_seed_list_outside_train_is_exit_1(self, tmp_path, command, form, capsys):
+        # no input exists, so exit 1 shows the check runs before any read
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if command != "synth":
+            argv += ["--interactions", str(missing / "interactions.tsv"),
+                     "--social", str(missing / "social.tsv"),
+                     "--checkpoint", str(missing / "checkpoint_seed3.bin")]
+        if form == "flag":
+            argv += ["--seed", "3,4"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=3,4\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {command} takes one seed")
+        assert not out.exists()
 
 
 class TestExportConfidence:

@@ -46,8 +46,9 @@ def dense_normalized(ds, social_w):
 
 class TestHandCase:
     def test_degrees_and_entries(self):
-        adj = build_adjacency(two_user_one_item())
-        assert adj.degrees.tolist() == [2.0, 1.0, 1.0]
+        ds = two_user_one_item()
+        adj = build_adjacency(ds, np.ones(1))
+        assert renormalize(np.ones(1), layout_for(ds))[0].tolist() == [2.0, 1.0, 1.0]
         dense = normalized_dense(adj)
         expect = np.array([[0.0, INV_SQRT2, INV_SQRT2],
                            [INV_SQRT2, 0.0, 0.0],
@@ -57,12 +58,13 @@ class TestHandCase:
     def test_zero_social_weight_reroutes_mass(self):
         # killing the social tie turns user 0 <-> item into a degree-1/degree-1
         # bond with unit normalized weight; user 1 is isolated
-        adj = build_adjacency(two_user_one_item(), np.array([0.0]))
+        ds = two_user_one_item()
+        adj = build_adjacency(ds, np.array([0.0]))
         dense = normalized_dense(adj)
         expect = np.zeros((3, 3))
         expect[0, 2] = expect[2, 0] = 1.0
         np.testing.assert_allclose(dense, expect, rtol=0, atol=1e-15)
-        assert adj.degrees.tolist() == [1.0, 0.0, 1.0]
+        assert renormalize(np.array([0.0]), layout_for(ds))[0].tolist() == [1.0, 0.0, 1.0]
 
     def test_fractional_weight(self):
         adj = build_adjacency(two_user_one_item(), np.array([0.5]))
@@ -103,14 +105,17 @@ class TestLayout:
         assert layout_for(tiny_dataset) is layout_for(tiny_dataset)
 
     def test_pair_blocks_sum_rows_per_user(self, monkeypatch):
-        # one layout, re-planned whenever the block size changes; each
-        # block's one-hot matrices sum that block's rows per distinct user
-        lay = EdgeLayout(Dataset(6, 1, train=[], test=[], social=STRADDLE_PAIRS))
+        # a layout plans its blocks once, so each block size gets a fresh
+        # one; each block's one-hot matrices sum that block's rows per
+        # distinct user
+        ds = Dataset(6, 1, train=[], test=[], social=STRADDLE_PAIRS)
         n = len(STRADDLE_PAIRS)
         X = np.random.default_rng(0).standard_normal((n, 2))
-        for block in (1, 2, 3, 64, 2):
+        for block in (1, 2, 3, 64):
             monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+            lay = EdgeLayout(ds)
             plan = lay.pair_blocks()
+            assert lay.pair_blocks() is plan
             assert [p[:2] for p in plan] == [
                 (lo, min(lo + block, n)) for lo in range(0, n, block)]
             for lo, hi, users_a, to_a, users_b, to_b in plan:
@@ -220,7 +225,7 @@ class TestValidation:
             build_adjacency(tiny_dataset, Fake())
 
     def test_propagate_row_mismatch(self, tiny_dataset):
-        adj = build_adjacency(tiny_dataset)
+        adj = build_adjacency(tiny_dataset, np.ones(2))
         with pytest.raises(DataError):
             forward(EmbeddingTable(np.zeros((2, 3)), 1), adj)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_diff
+from conftest import central_diff, inv_sqrt, transpose
 
 from gbsr import autodiff as ad
 from gbsr import hsic
@@ -205,12 +205,12 @@ class TestBottleneckLoss:
 def chain_bottleneck(X, Y, batch_users, sigma_sq, normalize=True):
     """The bottleneck as a chain of generic tape ops, one node per step."""
     def unit_rows(Z):
-        return Z * ((Z * Z).sum(axis=1, keepdims=True) + 1e-24) ** -0.5
+        return Z * inv_sqrt((Z * Z).sum(axis=1, keepdims=True) + 1e-24)
 
     def kernel(Z):
         n = Z.shape[0]
         sq = (Z * Z).sum(axis=1, keepdims=True)
-        d2 = ad.maximum(sq + sq.T - (Z @ Z.T) * 2.0, 0.0)
+        d2 = ad.clip(sq + transpose(sq) - (Z @ transpose(Z)) * 2.0, 0.0, np.inf)
         d2 = d2 * (np.ones((n, n)) - np.eye(n))
         return ad.exp(-d2 / (2.0 * sigma_sq))
 
