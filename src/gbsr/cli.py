@@ -29,6 +29,7 @@ from .ioutil import atomic_write_text
 @dataclass
 class RunConfig:
     train: trainer.TrainConfig
+    synthetic: data_mod.SyntheticSpec
     interactions: Optional[str] = None
     social: Optional[str] = None
     out: Optional[str] = None
@@ -36,13 +37,6 @@ class RunConfig:
     # only train takes several, one model each; the first seeds split and synth
     seed: Tuple[int, ...] = (0,)
     split_ratio: float = 0.8
-    # synthetic generator knobs
-    clusters: int = 2
-    users_per_cluster: int = 100
-    items_per_cluster: int = 100
-    interaction_rate: float = 0.15
-    social_rate: float = 0.1
-    noise_fraction: float = 0.5
     # train-config keys the user set explicitly (file or flag); evaluate and
     # export check them against a checkpoint's embedded config
     explicit_train: frozenset = frozenset()
@@ -74,9 +68,13 @@ def _parse_int_list(raw: str) -> Tuple[int, ...]:
 _PARSERS = {int: int, float: float, bool: _parse_bool,
             Tuple[int, ...]: _parse_int_list, Optional[str]: str}
 _RUN_KEYS = {k: t for k, t in typing.get_type_hints(RunConfig).items()
-             if k not in ("train", "explicit_train")}
-# `seed` is a RunConfig list; TrainConfig.seed is only ever its first entry
-_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig), **_RUN_KEYS}
+             if k not in ("train", "synthetic", "explicit_train")}
+# `seed` is a RunConfig list; TrainConfig.seed and SyntheticSpec.seed are
+# only ever its first entry
+_TRAIN_KEYS, _SYNTH_KEYS = ({k: t for k, t in typing.get_type_hints(cls).items()
+                             if k != "seed"}
+                            for cls in (trainer.TrainConfig, data_mod.SyntheticSpec))
+_KEY_TYPES = {**_TRAIN_KEYS, **_SYNTH_KEYS, **_RUN_KEYS}
 
 
 def _coerce_key(key: str, raw: str):
@@ -113,13 +111,15 @@ def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
     """defaults < config file < explicit flags"""
     merged = dict(file_values)
     merged.update((k, v) for k, v in flag_values.items() if v is not None)
-    run_kwargs = {k: v for k, v in merged.items() if k in _RUN_KEYS}
-    train_kwargs = {k: v for k, v in merged.items() if k not in _RUN_KEYS}
+    run_kwargs, synth_kwargs, train_kwargs = (
+        {k: v for k, v in merged.items() if k in keys}
+        for keys in (_RUN_KEYS, _SYNTH_KEYS, _TRAIN_KEYS))
     if "seed" in run_kwargs:
         if not run_kwargs["seed"]:
             raise ConfigError("at least one seed is required")
-        train_kwargs["seed"] = run_kwargs["seed"][0]
+        train_kwargs["seed"] = synth_kwargs["seed"] = run_kwargs["seed"][0]
     return RunConfig(train=trainer.TrainConfig(**train_kwargs),
+                     synthetic=data_mod.SyntheticSpec(**synth_kwargs),
                      explicit_train=frozenset(train_kwargs), **run_kwargs)
 
 
@@ -153,12 +153,7 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: List[str]) -> None:
         "inputs": {"interactions": cfg.interactions, "social": cfg.social,
                    "checkpoint": cfg.checkpoint, "split_ratio": cfg.split_ratio},
         "seeds": list(cfg.seed),
-        "synthetic": {"clusters": cfg.clusters,
-                      "users_per_cluster": cfg.users_per_cluster,
-                      "items_per_cluster": cfg.items_per_cluster,
-                      "interaction_rate": cfg.interaction_rate,
-                      "social_rate": cfg.social_rate,
-                      "noise_fraction": cfg.noise_fraction},
+        "synthetic": {k: getattr(cfg.synthetic, k) for k in _SYNTH_KEYS},
         "outputs": sorted(outputs),
     }
     atomic_write_text(Path(cfg.out) / "manifest.json", _json_text(manifest))
@@ -171,8 +166,7 @@ def run_train(cfg: RunConfig) -> None:
     evaluation.require_test_pairs(dataset)
     out_dir = Path(cfg.out)
     outputs: List[str] = []
-    runs: List[evaluation.RunMetrics] = []
-    users = 0
+    reports: List[evaluation.MetricsReport] = []
     for seed in cfg.seed:
         train_cfg = replace(cfg.train, seed=int(seed))
         best, log = trainer.fit(train_cfg, dataset)
@@ -181,17 +175,18 @@ def run_train(cfg: RunConfig) -> None:
         trainer.save_checkpoint(best, train_cfg, out_dir / ckpt_name)
         atomic_write_text(out_dir / log_name,
                           "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
-        report = trainer.evaluate_state(best, dataset, train_cfg)
-        runs.append(evaluation.RunMetrics(int(seed), dict(report.recall),
-                                          dict(report.ndcg)))
-        users = report.evaluated_user_count
+        reports.append(trainer.evaluate_state(best, dataset, train_cfg))
         outputs += [ckpt_name, log_name]
     cutoffs = tuple(cfg.train.cutoffs)
-    combined = evaluation.MetricsReport(
-        recall={n: sum(r.recall[n] for r in runs) / len(runs) for n in cutoffs},
-        ndcg={n: sum(r.ndcg[n] for r in runs) / len(runs) for n in cutoffs},
-        evaluated_user_count=users, per_run=tuple(runs))
-    atomic_write_text(out_dir / "metrics.json", _json_text(combined.to_json_dict()))
+    metrics = evaluation.MetricsReport(
+        recall={n: sum(r.recall[n] for r in reports) / len(reports) for n in cutoffs},
+        ndcg={n: sum(r.ndcg[n] for r in reports) / len(reports) for n in cutoffs},
+        evaluated_user_count=reports[-1].evaluated_user_count).to_json_dict()
+    metrics["per_seed"] = [
+        {"seed": int(seed), "recall": {str(n): r.recall[n] for n in cutoffs},
+         "ndcg": {str(n): r.ndcg[n] for n in cutoffs}}
+        for seed, r in zip(cfg.seed, reports)]
+    atomic_write_text(out_dir / "metrics.json", _json_text(metrics))
     outputs.append("metrics.json")
     _write_manifest(cfg, "train", outputs)
 
@@ -240,16 +235,7 @@ def run_export_confidence(cfg: RunConfig) -> None:
 
 def run_synth(cfg: RunConfig) -> None:
     _require(cfg, "out")
-    spec = data_mod.SyntheticSpec(
-        cluster_count=cfg.clusters,
-        users_per_cluster=cfg.users_per_cluster,
-        items_per_cluster=cfg.items_per_cluster,
-        interaction_rate=cfg.interaction_rate,
-        intra_social_rate=cfg.social_rate,
-        noise_edge_fraction=cfg.noise_fraction,
-        seed=cfg.train.seed,
-    )
-    dataset, labels = data_mod.generate_synthetic(spec)
+    dataset, labels = data_mod.generate_synthetic(cfg.synthetic)
     out_dir = Path(cfg.out)
     atomic_write_text(out_dir / "interactions.tsv", data_mod.interactions_text(dataset))
     atomic_write_text(out_dir / "social.tsv", data_mod.social_text(dataset))
@@ -289,16 +275,14 @@ _DATA_KEYS = ("out", "seed", "interactions", "social", "split_ratio")
 # subcommand -> (runner, help, the config keys it takes as flags)
 _COMMANDS = {
     "train": (run_train, "fit on an interaction + social dataset",
-              _DATA_KEYS + tuple(k for k in typing.get_type_hints(trainer.TrainConfig)
-                                 if k not in _RUN_KEYS)),
+              _DATA_KEYS + tuple(_TRAIN_KEYS)),
     "evaluate": (run_evaluate, "rank with a saved checkpoint",
                  _DATA_KEYS + ("checkpoint", "cutoffs")),
     "export-confidence": (run_export_confidence,
                           "write per-social-edge confidence CSV",
                           _DATA_KEYS + ("checkpoint",)),
     "synth": (run_synth, "generate a planted-noise dataset",
-              ("out", "seed", "clusters", "users_per_cluster", "items_per_cluster",
-               "interaction_rate", "social_rate", "noise_fraction")),
+              ("out", "seed") + tuple(_SYNTH_KEYS)),
 }
 
 

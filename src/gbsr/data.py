@@ -29,7 +29,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 # negative sampling redraws an item at most this many times per triple
 NEGATIVE_RETRY_BOUND = 100
@@ -46,31 +46,37 @@ class SyntheticSpec:
     and genuine social edges stay within a block; `noise_edge_fraction` (eta)
     controls how many cross-block social edges are planted on top, as a
     fraction of the genuine edge count.
+
+    Every field but `seed` is also a `gbsr synth` config key; a value out of
+    range raises ConfigError, like any other bad configuration.
     """
 
-    cluster_count: int
-    users_per_cluster: int
-    items_per_cluster: int
-    interaction_rate: float
-    intra_social_rate: float
-    noise_edge_fraction: float
-    seed: int
+    cluster_count: int = 2
+    users_per_cluster: int = 100
+    items_per_cluster: int = 100
+    interaction_rate: float = 0.15
+    intra_social_rate: float = 0.1
+    noise_edge_fraction: float = 0.5
+    seed: int = 0
 
     def __post_init__(self):
         if self.cluster_count < 1:
-            raise DataError("cluster_count must be >= 1")
-        if self.users_per_cluster < 1 or self.items_per_cluster < 1:
-            raise DataError("users_per_cluster and items_per_cluster must be >= 1")
+            raise ConfigError(f"cluster_count must be >= 1, got {self.cluster_count}")
+        for name in ("users_per_cluster", "items_per_cluster"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("interaction_rate", "intra_social_rate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
-                raise DataError(f"{name} must lie in [0, 1], got {v}")
-        if not (0.0 <= self.noise_edge_fraction):
-            raise DataError("noise_edge_fraction must be >= 0")
+                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+        if not (0.0 <= self.noise_edge_fraction < math.inf):
+            raise ConfigError(f"noise_edge_fraction must be finite and >= 0, "
+                              f"got {self.noise_edge_fraction}")
         if self.noise_edge_fraction > 0 and self.cluster_count < 2:
-            raise DataError("planting cross-cluster noise needs at least 2 clusters")
+            # a planted noise edge crosses from one cluster to another
+            raise ConfigError("noise_edge_fraction > 0 needs cluster_count >= 2")
         if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Dataset:

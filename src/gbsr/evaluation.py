@@ -30,37 +30,21 @@ SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
-class RunMetrics:
-    seed: int
-    recall: Dict[int, float]
-    ndcg: Dict[int, float]
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Mean metrics per cutoff, plus the per-run rows they average."""
+    """Mean Recall and NDCG per cutoff."""
 
     recall: Dict[int, float]
     ndcg: Dict[int, float]
     evaluated_user_count: int
-    per_run: Tuple[RunMetrics, ...] = ()
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "cutoffs": {
                 str(n): {"recall": self.recall[n], "ndcg": self.ndcg[n]}
                 for n in sorted(self.recall)
             },
             "evaluated_user_count": self.evaluated_user_count,
         }
-        if self.per_run:
-            out["per_seed"] = [
-                {"seed": run.seed,
-                 "recall": {str(n): v for n, v in sorted(run.recall.items())},
-                 "ndcg": {str(n): v for n, v in sorted(run.ndcg.items())}}
-                for run in self.per_run
-            ]
-        return out
 
 
 def _check_readout(reps: NodeRepresentations, dataset: Dataset) -> None:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from gbsr.cli import RunConfig, build_parser, main, read_config_file
+from gbsr.data import (SyntheticSpec, generate_synthetic, interactions_text,
+                       noise_labels_text, social_text)
 from gbsr.trainer import TrainConfig
 
-SYNTH_FLAGS = ["--clusters", "2", "--users-per-cluster", "12",
+SYNTH_FLAGS = ["--cluster-count", "2", "--users-per-cluster", "12",
                "--items-per-cluster", "10", "--interaction-rate", "0.4",
-               "--social-rate", "0.3", "--noise-fraction", "0.5"]
+               "--intra-social-rate", "0.3", "--noise-edge-fraction", "0.5"]
 
 CONFIG_TEXT = """\
 # small model so the suite stays fast
@@ -75,7 +77,20 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["outputs"] == ["interactions.tsv", "noise_labels.tsv",
                                        "social.tsv"]
-        assert manifest["synthetic"]["noise_fraction"] == 0.5
+        # the generator's fields, minus the seed that `seeds` records
+        assert manifest["synthetic"] == {
+            "cluster_count": 2, "users_per_cluster": 12, "items_per_cluster": 10,
+            "interaction_rate": 0.4, "intra_social_rate": 0.3,
+            "noise_edge_fraction": 0.5}
+        assert manifest["seeds"] == [0]
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        dataset, labels = generate_synthetic(SyntheticSpec())
+        assert (tmp_path / "interactions.tsv").read_text() == interactions_text(dataset)
+        assert (tmp_path / "social.tsv").read_text() == social_text(dataset)
+        assert ((tmp_path / "noise_labels.tsv").read_text()
+                == noise_labels_text(dataset, labels))
 
     def test_same_seed_same_bytes(self, data_dir, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--seed", "0"]
@@ -121,7 +136,11 @@ class TestTrain:
         for block in metrics["cutoffs"].values():
             assert 0.0 <= block["recall"] <= 1.0
             assert 0.0 <= block["ndcg"] <= 1.0
-        assert metrics["per_seed"][0]["seed"] == 0
+        # a one-seed run's row is its mean, with the same string cutoff keys
+        assert metrics["per_seed"] == [{
+            "seed": 0,
+            "recall": {n: b["recall"] for n, b in metrics["cutoffs"].items()},
+            "ndcg": {n: b["ndcg"] for n, b in metrics["cutoffs"].items()}}]
         # users whose single interaction stayed in train are skipped
         assert 0 < metrics["evaluated_user_count"] <= 24
 
@@ -497,6 +516,45 @@ class TestErrors:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert _no_files(out)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--cluster-count", "0"], "cluster_count must be >= 1"),
+        (["--users-per-cluster", "0"], "users_per_cluster must be >= 1"),
+        (["--interaction-rate", "1.5"], "interaction_rate must lie in [0, 1]"),
+        (["--intra-social-rate", "nan"], "intra_social_rate must lie in [0, 1]"),
+        (["--noise-edge-fraction", "inf"], "noise_edge_fraction must be finite"),
+        (["--cluster-count", "1"], "needs cluster_count >= 2"),
+    ], ids=["clusters-0", "users-0", "rate-1.5", "social-nan", "noise-inf",
+            "noise-one-cluster"])
+    def test_bad_generator_value_is_exit_1(self, tmp_path, flags, message, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert _no_files(out)
+
+    def test_generator_key_in_config_file_is_checked_by_train(self, tmp_path, capsys):
+        # no input exists, so exit 1 shows the check runs before any read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cluster_count=0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--interactions", str(tmp_path / "missing.tsv"),
+                     "--social", str(tmp_path / "missing.tsv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cluster_count")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--interaction-rate", "0"], "zero interactions"),
+        (["--users-per-cluster", "2", "--intra-social-rate", "1",
+          "--noise-edge-fraction", "10"], "could not place"),
+    ], ids=["no-interactions", "no-room-for-noise"])
+    def test_generator_outcome_is_exit_2(self, tmp_path, flags, message, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert _no_files(out)
+
     def test_edge_file_that_is_a_directory_is_exit_2(self, data_dir, tmp_path, capsys):
         (tmp_path / "edges").mkdir()
         out = tmp_path / "out"
@@ -557,8 +615,9 @@ class TestErrors:
 
 
 _KEY_TYPES = {k: t for k, t in {**typing.get_type_hints(TrainConfig),
+                                **typing.get_type_hints(SyntheticSpec),
                                 **typing.get_type_hints(RunConfig)}.items()
-              if k not in ("train", "explicit_train")}
+              if k not in ("train", "synthetic", "explicit_train")}
 # one config-file value and its parse per declared field type
 _SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), bool: ("yes", True),
             Tuple[int, ...]: ("5, 10", (5, 10)),
@@ -566,6 +625,15 @@ _SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), bool: ("yes", True),
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# flags that are not `--` plus a config key, among them names of earlier releases
+_OLD_SPELLINGS = [
+    ("train", ["--dim", "8"]), ("train", ["--lr", "0.1"]), ("train", ["--lambda", "0"]),
+    ("train", ["--sigma2", "1"]), ("train", ["--no-kernel-normalize"]),
+    ("train", ["--embed", "8"]), ("synth", ["--clusters", "2"]),
+    ("synth", ["--social-rate", "0.1"]), ("synth", ["--noise-fraction", "0.5"]),
+]
 
 
 def _subparsers():
@@ -587,12 +655,10 @@ class TestFlags:
         # and every config key can be set by a flag
         assert dests - {"config"} == set(_KEY_TYPES)
 
-    @pytest.mark.parametrize("old", [
-        ["--dim", "8"], ["--lr", "0.1"], ["--lambda", "0"], ["--sigma2", "1"],
-        ["--no-kernel-normalize"], ["--embed", "8"],
-    ], ids=lambda argv: argv[0])
-    def test_other_spellings_are_unrecognized(self, old, capsys):
-        assert main(["train"] + old) == 1
+    @pytest.mark.parametrize("command, old", _OLD_SPELLINGS,
+                             ids=[old[0] for _, old in _OLD_SPELLINGS])
+    def test_other_spellings_are_unrecognized(self, command, old, capsys):
+        assert main([command] + old) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_boolean_flags_take_a_value(self, data_dir, tmp_path):

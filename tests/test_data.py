@@ -9,7 +9,7 @@ from gbsr import data
 from gbsr.data import (NEGATIVE_RETRY_BOUND, Dataset, SyntheticSpec,
                        generate_synthetic, interactions_text, load_dataset,
                        noise_labels_text, sample_batch_arrays, social_text)
-from gbsr.errors import DataError, ParseError
+from gbsr.errors import ConfigError, DataError, ParseError
 
 
 def write_edges(path, pairs):
@@ -449,15 +449,15 @@ class TestSynthetic:
             generate_synthetic(spec)
 
     def test_noise_needs_two_clusters(self):
-        with pytest.raises(DataError, match="clusters"):
+        with pytest.raises(ConfigError, match="cluster_count >= 2"):
             SyntheticSpec(1, 5, 5, 0.5, 0.5, 0.5, seed=0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             SyntheticSpec(2, 5, 5, 0.5, 0.5, 0.5, seed=-1)
 
     def test_rate_bounds_validated(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="interaction_rate"):
             SyntheticSpec(2, 5, 5, 1.5, 0.5, 0.5, seed=0)
 
     def test_export_round_trip_bytes(self, tmp_path, small_synthetic):

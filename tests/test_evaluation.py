@@ -10,7 +10,7 @@ from gbsr import evaluation
 from gbsr.backbone import NodeRepresentations
 from gbsr.data import Dataset
 from gbsr.errors import DataError
-from gbsr.evaluation import MetricsReport, RunMetrics, evaluate, rank_user
+from gbsr.evaluation import MetricsReport, evaluate, rank_user
 
 
 def reps_from(readout, user_count):
@@ -277,14 +277,11 @@ class TestReportShape:
     def test_json_dict(self):
         report = MetricsReport(
             recall={20: 0.5, 10: 0.25}, ndcg={20: 0.4, 10: 0.2},
-            evaluated_user_count=7,
-            per_run=(RunMetrics(3, {10: 0.25, 20: 0.5}, {10: 0.2, 20: 0.4}),))
+            evaluated_user_count=7)
         d = report.to_json_dict()
         assert list(d["cutoffs"]) == ["10", "20"]
         assert d["cutoffs"]["20"] == {"recall": 0.5, "ndcg": 0.4}
         assert d["evaluated_user_count"] == 7
-        assert d["per_seed"][0]["seed"] == 3
-        assert d["per_seed"][0]["recall"]["10"] == 0.25
         json.dumps(d)  # must be serializable as-is
 
     def test_json_dict_omits_empty_runs(self):
@@ -295,9 +292,9 @@ class TestReportShape:
 class TestMultiSeed:
     """Per-seed rows and their means, as `gbsr train --seed a,b` writes them."""
 
-    SYNTH = ["--clusters", "2", "--users-per-cluster", "12",
+    SYNTH = ["--cluster-count", "2", "--users-per-cluster", "12",
              "--items-per-cluster", "10", "--interaction-rate", "0.4",
-             "--social-rate", "0.3", "--noise-fraction", "0.5"]
+             "--intra-social-rate", "0.3", "--noise-edge-fraction", "0.5"]
     TRAIN = ["--embedding-dim", "8", "--layers", "2", "--learning-rate", "0.05",
              "--batch-size", "64", "--epochs", "2", "--beta", "0.5", "--cutoffs", "5,10"]
 
