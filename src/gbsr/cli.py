@@ -153,9 +153,10 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: List[str]) -> None:
         "inputs": {"interactions": cfg.interactions, "social": cfg.social,
                    "checkpoint": cfg.checkpoint, "split_ratio": cfg.split_ratio},
         "seeds": list(cfg.seed),
-        "synthetic": {k: getattr(cfg.synthetic, k) for k in _SYNTH_KEYS},
         "outputs": sorted(outputs),
     }
+    if command == "synth":  # the other commands read edge files
+        manifest["synthetic"] = {k: getattr(cfg.synthetic, k) for k in _SYNTH_KEYS}
     atomic_write_text(Path(cfg.out) / "manifest.json", _json_text(manifest))
 
 

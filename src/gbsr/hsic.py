@@ -3,9 +3,21 @@
 Dependence between the denoised and original user representations is scored
 as HSIC(X, Y) = (n - 1)^-2 * trace(Kx H Ky H) with H = I - (1/n) 11^T and
 RBF kernels K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)).  Because H is
-idempotent, trace(Kx H Ky H) equals the elementwise sum of the two
-double-centered kernels, so H is never materialized here; the test suite
-holds this against the definitional trace form.
+idempotent, trace(Kx H Ky H) is the inner product of the two double-centered
+kernels, so H is never materialized here; the test suite holds this against
+the definitional trace form.
+
+The work is a few passes over n x n buffers, so each kernel lives in one
+buffer from its product to its centering:
+
+- one GEMM of the augmented rows [z_i, -|z_i|^2/2, 1] / sigma^2 and
+  [z_j, 1, -|z_j|^2/2] gives the exponent -d2_ij / (2 sigma^2) directly;
+  it is clamped at 0 (where d2 < 0 from cancellation), set to an exact 0 on
+  the diagonal (so K_ii = 1) and exponentiated in place;
+- the kernel is centered in place from its row sums r and total S as
+  K_ij + c_i + c_j with c = S / (2 n^2) - r / n, which is H K H for a
+  symmetric K and exactly 0 for a constant one;
+- the value is one BLAS dot of the two centered kernels.
 
 Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
@@ -33,48 +45,47 @@ def _normalize_rows(Z: np.ndarray):
 
 
 def _rbf(Z: np.ndarray, sigma_sq: float):
-    """RBF kernel of the rows of Z, and the mask of the entries whose squared
-    distance carries a gradient: off the diagonal and not clamped at 0."""
-    sq = (Z * Z).sum(axis=1, keepdims=True)
-    gram = Z @ Z.T
-    gram *= 2.0
-    d2 = sq + sq.T
-    d2 -= gram
-    del gram
-    live = d2 >= 0.0
-    np.maximum(d2, 0.0, out=d2)  # tiny negatives from cancellation
-    np.fill_diagonal(d2, 0.0)  # exact zero diagonal -> K_ii = 1
-    np.fill_diagonal(live, False)
-    d2 /= -2.0 * sigma_sq  # (-d2) / s, bit for bit
-    return np.exp(d2, out=d2), live
+    """RBF kernel of the rows of Z, and the flat indices of the entries whose
+    squared distance came out negative and was clamped at 0 (they pass no
+    gradient; the diagonal passes none either)."""
+    half_sq = -0.5 * (Z * Z).sum(axis=1, keepdims=True)
+    one = np.ones_like(half_sq)
+    # row i of the product is -d2_i. / (2 sigma^2)
+    K = (np.hstack([Z, half_sq, one]) / sigma_sq) @ np.hstack([Z, one, half_sq]).T
+    clamped = np.flatnonzero(K > 0.0)  # rare: cancellation between near-equal rows
+    K.flat[clamped] = 0.0
+    np.fill_diagonal(K, 0.0)  # exact zero diagonal -> K_ii = 1
+    return np.exp(K, out=K), clamped
 
 
 def _center(K: np.ndarray) -> np.ndarray:
+    """Double-center the symmetric K in place; returns the c with
+    centered K_ij = K_ij + c_i + c_j."""
     n = K.shape[0]
-    Kc = K - K.sum(axis=0, keepdims=True) / float(n)
-    Kc -= K.sum(axis=1, keepdims=True) / float(n)
-    Kc += K.sum() / float(n * n)
-    return Kc
+    r = K.sum(axis=1)
+    c = r.sum() / float(2 * n * n) - r / float(n)
+    K += c[:, None]
+    K += c
+    return c
 
 
 def _dependence(Kxc: np.ndarray, Kyc: np.ndarray) -> float:
     n = Kxc.shape[0]
-    return (Kxc * Kyc).sum() / float((n - 1) ** 2)
+    return np.dot(Kxc.ravel(), Kyc.ravel()) / float((n - 1) ** 2)
 
 
 def _side(T: ad.Tensor, users: np.ndarray, sigma_sq: float, normalize: bool):
     """Centered kernel of T's batch rows and, when T carries a gradient, what
     its backward needs: the gathered rows Z, their inverse norms r (None
-    without normalization), the kernel's input rows and the kernel masked
-    to its live entries."""
+    without normalization), the kernel's input rows, the centered kernel,
+    its centering vector c and the clamped entries' flat indices."""
     Z = T.data[users]
     Zn, r = _normalize_rows(Z) if normalize else (Z, None)
-    K, live = _rbf(Zn, sigma_sq)
-    Kc = _center(K)
+    K, clamped = _rbf(Zn, sigma_sq)
+    c = _center(K)
     if not T.requires_grad:
-        return Kc, None
-    K *= live
-    return Kc, (Z, r, Zn, K)
+        return K, None
+    return K, (Z, r, Zn, K, c, clamped)
 
 
 def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
@@ -83,13 +94,15 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     as one tape node.
 
     H is idempotent, so dHSIC/dKx = H Ky H / (n-1)^2 is the already-centered
-    Kyc / (n-1)^2.  Through the RBF, with P that gradient and W the kernel
-    masked to its live entries, G = -(P * W) / (2 sigma^2) is the gradient
-    of the squared distances and dHSIC/dXn = 4 (diag(G 1) - G) Xn.  Row
-    normalization Xn = r Z with r = (|z|^2 + 1e-24)^-1/2 then gives
-    dHSIC/dZ = r gXn - Z r^3 <gXn, Z>.  The users are distinct, so the rows
-    are written into the gradient by assignment.  The Y side is the same
-    with the roles swapped and runs only when Y carries a gradient.
+    Kyc / (n-1)^2.  Through the RBF, with W the raw kernel Kx = Kxc - c_i -
+    c_j zeroed on its diagonal and clamped entries, G = Kyc * W and
+    s = -1 / ((n-1)^2 2 sigma^2), s G is the gradient of the squared
+    distances and dHSIC/dXn = 4 s (diag(G 1) - G) Xn; one GEMM of [Xn | 1]^T
+    and G gives G Xn and G 1 together.  Row normalization Xn = r Z with
+    r = (|z|^2 + 1e-24)^-1/2 then gives dHSIC/dZ = r gXn - Z r^3 <gXn, Z>.
+    The users are distinct, so the rows are written into the gradient by
+    assignment.  The Y side is the same with the roles swapped and runs
+    only when Y carries a gradient.
     """
     users = np.unique(np.asarray(batch_users, dtype=np.int64))
     if users.size < 2:
@@ -104,12 +117,18 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
               ((X, x_saved, Kyc), (Y, y_saved, Kxc)) if saved is not None]
 
     def backward(g):
-        scale = -float(g) / (float((n - 1) ** 2) * 2.0 * sigma_sq)
-        G = None
-        for T, (Z, r, Zn, W), other in routes:
-            G = np.multiply(other, W, out=G)
-            G *= scale
-            gZ = 4.0 * (G.sum(axis=1, keepdims=True) * Zn - G @ Zn)
+        scale = -4.0 * float(g) / (float((n - 1) ** 2) * 2.0 * sigma_sq)
+        G = np.empty((n, n))
+        for T, (Z, r, Zn, Kc, c, clamped), other in routes:
+            np.subtract(Kc, c[:, None], out=G)
+            G -= c
+            G *= other
+            G.flat[clamped] = 0.0
+            np.fill_diagonal(G, 0.0)
+            # G is symmetric up to rounding, so [Xn | 1]^T G gives the
+            # transposed [G Xn | G 1]; this operand order is the faster GEMM
+            M = np.vstack([Zn.T, np.ones(n)]) @ G
+            gZ = scale * (M[-1][:, None] * Zn - M[:-1].T)
             if r is not None:
                 gZ = r * gZ - Z * (r ** 3 * np.einsum("nd,nd->n", gZ, Z)[:, None])
             full = np.zeros_like(T.data)
@@ -129,11 +148,14 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
 
 
 def hsic_estimate(Kx: np.ndarray, Ky: np.ndarray) -> float:
-    Kx = np.asarray(Kx, dtype=np.float64)
-    Ky = np.asarray(Ky, dtype=np.float64)
+    # copies: the kernels are centered in place
+    Kx = np.array(Kx, dtype=np.float64, order="C")
+    Ky = np.array(Ky, dtype=np.float64, order="C")
     if Kx.shape != Ky.shape or Kx.ndim != 2 or Kx.shape[0] != Kx.shape[1]:
         raise DataError(
             f"kernel matrices must be square and equal-sized, got {Kx.shape} and {Ky.shape}")
     if Kx.shape[0] < 2:
         raise DataError("HSIC needs at least 2 samples")
-    return float(_dependence(_center(Kx), _center(Ky)))
+    _center(Kx)
+    _center(Ky)
+    return float(_dependence(Kx, Ky))

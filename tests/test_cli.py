@@ -84,6 +84,20 @@ class TestSynth:
             "noise_edge_fraction": 0.5}
         assert manifest["seeds"] == [0]
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "export-confidence"])
+    def test_only_synth_records_the_generator(self, train_dir, data_dir, tmp_path,
+                                              command):
+        out = train_dir
+        if command != "train":
+            out = tmp_path
+            assert main([command, "--checkpoint", str(train_dir / "checkpoint_seed0.bin"),
+                         "--interactions", str(data_dir / "interactions.tsv"),
+                         "--social", str(data_dir / "social.tsv"),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert "synthetic" not in manifest
+
     def test_defaults_are_the_spec_defaults(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == 0
         dataset, labels = generate_synthetic(SyntheticSpec())

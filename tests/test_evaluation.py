@@ -282,6 +282,7 @@ class TestReportShape:
         assert list(d["cutoffs"]) == ["10", "20"]
         assert d["cutoffs"]["20"] == {"recall": 0.5, "ndcg": 0.4}
         assert d["evaluated_user_count"] == 7
+        assert set(d) == {"cutoffs", "evaluated_user_count"}
         json.dumps(d)  # must be serializable as-is
 
     def test_json_dict_omits_empty_runs(self):
