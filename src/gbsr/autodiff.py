@@ -261,13 +261,17 @@ def minimum(t: Tensor, bound: float) -> Tensor:
 
 
 def gather(t: Tensor, index) -> Tensor:
+    """Rows t[index] for a 1-D index; the backward sums repeated rows."""
     index = np.asarray(index, dtype=np.int64)
 
     def backward(g):
         if t.requires_grad:
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, index, g)
-            t._accumulate(buf)
+            # one-hot (rows x positions) product: each row's positions are
+            # summed in order from zero, as np.add.at would, but in one pass
+            k, width = index.size, int(np.prod(t.data.shape[1:]))
+            one_hot = sp.csr_matrix((np.ones(k), (index, np.arange(k))),
+                                    shape=(t.data.shape[0], k))
+            t._accumulate((one_hot @ g.reshape(k, width)).reshape(t.data.shape))
 
     return _make(t.data[index], (t,), backward)
 

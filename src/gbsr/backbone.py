@@ -77,7 +77,7 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     the only per-entry products needed.  Both ends of a social pair are
     users, so that sum is one row-wise dot <Z1[a], Z2[b]> of the user rows
     Z1 = [g_1 .. g_L | X_0 .. X_{L-1}] and Z2 = [X_0 .. X_{L-1} | g_1 .. g_L],
-    taken in blocks of `graph.PAIR_BLOCK` pairs.
+    taken in blocks of `graph.SDDMM_BLOCK` pairs.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
     states, readout = layer_readout(embeddings.data, layers, operator)
@@ -100,11 +100,19 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
             lowers = [x[:M] for x in states[:-1]]   # X_0 .. X_{L-1}
             Z1 = np.concatenate(grads + lowers, axis=1)
             Z2 = np.concatenate(lowers + grads, axis=1)
-            a, b = layout.social_a, layout.social_b
-            pair = np.empty(layout.social_count)
-            for lo in range(0, layout.social_count, graph.PAIR_BLOCK):
-                hi = lo + graph.PAIR_BLOCK
-                np.einsum("kd,kd->k", Z1[a[lo:hi]], Z2[b[lo:hi]], out=pair[lo:hi])
+            a, b, n = layout.social_a, layout.social_b, layout.social_count
+            pair = np.empty(n)
+            block = min(n, graph.SDDMM_BLOCK)
+            z1, z2 = np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))
+            # `Dataset` range-checks every social pair, so the gathers skip
+            # numpy's bounds check (mode="clip"), which would first copy into
+            # a temporary
+            for lo in range(0, n, graph.SDDMM_BLOCK):
+                hi = min(lo + graph.SDDMM_BLOCK, n)
+                x1, x2 = z1[:hi - lo], z2[:hi - lo]
+                np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
+                np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
+                np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
             rho._accumulate(pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b])
 
     return ad._make(readout, (rho, embeddings), backward)

@@ -225,9 +225,10 @@ def _parse_lines(p: Path, lines: List[str]) -> np.ndarray:
     return np.array(values, dtype=np.int64).reshape(-1, 2)
 
 
-def _read_edge_file(path) -> np.ndarray:
+def _read_edge_file(path, allow_empty: bool = False) -> np.ndarray:
     """Distinct (a, b) rows of an edge file as an (n, 2) int64 array, in
-    order of first appearance."""
+    order of first appearance; a file without rows is an error unless
+    allow_empty."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing input file: {p}")
@@ -239,7 +240,7 @@ def _read_edge_file(path) -> np.ndarray:
     rows = _parse_vectorized(text, lines)
     if rows is None:
         rows = _parse_lines(p, lines)
-    if not rows.size:
+    if not (rows.size or allow_empty):
         raise DataError(f"empty input file: {p}")
     return rows[np.sort(_distinct_rows(rows))]
 
@@ -279,7 +280,8 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     if not (0.0 < split_ratio <= 1.0):
         raise DataError(f"split_ratio must lie in (0, 1], got {split_ratio}")
     inter_raw = _read_edge_file(interactions_path)
-    social_raw = _read_edge_file(social_path)
+    # an empty social file is the social-free graph
+    social_raw = _read_edge_file(social_path, allow_empty=True)
 
     n_inter = inter_raw.shape[0]
     user_ids, user_count = _first_appearance_ids(

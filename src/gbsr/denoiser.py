@@ -91,13 +91,21 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     tensors; training passes leaves, evaluation passes constants.  With W1
     split into row blocks Wa, Wb, Wc, the hidden layer
     [e_a; e_b; e_a * e_b] W1 + b1 is computed as
-    (E Wa)[a] + (E Wb)[b] + (e_a * e_b) Wc + b1, so no pairs x 3d block is
-    built.  Both passes walk the pairs in blocks of `graph.PAIR_BLOCK`, so
-    the gathers and products of a block stay in cache; only the hidden
-    layer is kept for the backward, and only when a parent needs gradients.
-    The backward sums each block's per-pair gradients [gz | gq * e_b] and
-    [gz | gq * e_a] per user through the layout's per-block one-hot pair
-    matrices, with gz the hidden layer's gradient and gq = gz Wc^T.
+    (E Wa + b1)[a] + (E Wb)[b] + (e_a * e_b) Wc, so no pairs x 3d block is
+    built.  Both passes walk the pairs in blocks of `graph.PAIR_BLOCK`, and
+    a block runs only gathers, GEMMs and in-place ufuncs on a few
+    block-sized buffers made once per pass.  Only the hidden layer H is kept
+    for the backward, and only when a parent needs gradients.
+
+    With s the output's gradient through the logistic, the hidden layer's
+    gradient is gz = u diag(w2) with u = (1 - h^2) * s per row, so the
+    backward works on u and scales by w2 where it is cheap:
+    gWc = ((e_a * e_b)^T u) diag(w2) and gq = gz Wc^T = u (Wc diag(w2))^T.
+    It overwrites each block's rows of H with u once they are read; the
+    per-user sums of gz over the pairs' first and second users are then one
+    one-hot product each (`layout.pair_sums`), and only the d-wide
+    gq * e_b and gq * e_a are summed per user block by block
+    (`layout.pair_blocks`).
     """
     W1, b1, W2, b2 = head
     E, W = embeddings.data, W1.data
@@ -107,54 +115,70 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     a, b = layout.social_a, layout.social_b
     users = E[:M]
     UA, UB = users @ Wa, users @ Wb
+    UA += b1.data
     keep = any(t.requires_grad for t in (embeddings,) + tuple(head))
-    H = np.empty((n if keep else min(n, graph.PAIR_BLOCK), d))
+    block = min(n, graph.PAIR_BLOCK)
+    H = np.empty((n if keep else block, d))
+    bx, by = np.empty((block, d)), np.empty((block, d))
     out = np.empty(n)
+    # `Dataset` range-checks every social pair, so the gathers skip numpy's
+    # bounds check (mode="clip"), which would first copy into a temporary
     for lo in range(0, n, graph.PAIR_BLOCK):
         hi = min(lo + graph.PAIR_BLOCK, n)
-        ca, cb = a[lo:hi], b[lo:hi]
-        h = H[lo:hi] if keep else H[:hi - lo]
-        np.take(UA, ca, axis=0, out=h)
-        h += UB[cb]
-        h += (E[ca] * E[cb]) @ Wc
-        h += b1.data
+        ca, cb, m = a[lo:hi], b[lo:hi], hi - lo
+        h = H[lo:hi] if keep else H[:m]
+        x, y = bx[:m], by[:m]
+        np.take(E, ca, axis=0, out=x, mode="clip")
+        np.take(E, cb, axis=0, out=y, mode="clip")
+        x *= y
+        np.matmul(x, Wc, out=y)
+        np.take(UA, ca, axis=0, out=h, mode="clip")
+        h += y
+        np.take(UB, cb, axis=0, out=y, mode="clip")
+        h += y
         np.tanh(h, out=h)
         expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
 
     def backward(g):
-        gs = g * out * (1.0 - out)
+        s = g * out * (1.0 - out)
         w2 = W2.data[:, 0]
+        Wq = (Wc * w2).T
         gW2, gWc = np.zeros((d, 1)), np.zeros((d, d))
-        acc_a, acc_b = np.zeros((M, 2 * d)), np.zeros((M, 2 * d))
-        block = min(n, graph.PAIR_BLOCK)
-        buf_a, buf_b = np.empty((block, 2 * d)), np.empty((block, 2 * d))
+        half_a, half_b = np.zeros((M, d)), np.zeros((M, d))
+        ba, bb, bq = (np.empty((block, d)) for _ in range(3))
         for lo, hi, users_a, to_a, users_b, to_b in layout.pair_blocks():
             ca, cb, m = a[lo:hi], b[lo:hi], hi - lo
-            h, ea, eb = H[lo:hi], E[ca], E[cb]
-            gW2 += h.T @ gs[lo:hi, None]
-            gz = buf_a[:m, :d]
-            np.multiply.outer(gs[lo:hi], w2, out=gz)
-            gz *= 1.0 - h * h
-            gWc += (ea * eb).T @ gz
-            gq = gz @ Wc.T
-            np.multiply(gq, eb, out=buf_a[:m, d:])
-            buf_b[:m, :d] = gz
-            np.multiply(gq, ea, out=buf_b[:m, d:])
-            acc_a[users_a] += to_a @ buf_a[:m]
-            acc_b[users_b] += to_b @ buf_b[:m]
+            h, sb, ea, eb, gq = H[lo:hi], s[lo:hi, None], ba[:m], bb[:m], bq[:m]
+            gW2 += h.T @ sb
+            # h becomes u; the tape runs this backward once
+            h *= h
+            np.subtract(1.0, h, out=h)
+            h *= sb
+            np.take(E, ca, axis=0, out=ea, mode="clip")
+            np.take(E, cb, axis=0, out=eb, mode="clip")
+            np.multiply(ea, eb, out=gq)
+            gWc += gq.T @ h
+            np.matmul(h, Wq, out=gq)
+            ea *= gq
+            eb *= gq
+            half_a[users_a] += to_a @ eb
+            half_b[users_b] += to_b @ ea
         if W2.requires_grad:
             W2._accumulate(gW2)
         if b2.requires_grad:
-            b2._accumulate(gs.sum(keepdims=True))
-        ga, gb = acc_a[:, :d], acc_b[:, :d]
+            b2._accumulate(s.sum(keepdims=True))
+        sum_a, sum_b = layout.pair_sums()
+        ga, gb = sum_a @ H, sum_b @ H
+        ga *= w2
+        gb *= w2
         if b1.requires_grad:
             # every pair's gz is in exactly one first user's sum
             b1._accumulate(ga.sum(axis=0))
         if W1.requires_grad:
-            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, gWc]))
+            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, gWc * w2]))
         if embeddings.requires_grad:
             gE = np.zeros_like(E)
-            gE[:M] = ga @ Wa.T + gb @ Wb.T + acc_a[:, d:] + acc_b[:, d:]
+            gE[:M] = ga @ Wa.T + gb @ Wb.T + half_a + half_b
             embeddings._accumulate(gE)
 
     return ad._make(out, (embeddings, W1, b1, W2, b2), backward)

@@ -20,10 +20,13 @@ from .data import Dataset
 from .errors import DataError
 
 DEGREE_FLOOR = 1e-12
-# social pairs per block of the all-pair kernels (`denoiser.confidences` and
-# `backbone.propagate`'s backward): a block's pairs x dim temporaries stay in
-# cache
+# social pairs per block of `denoiser.confidences`: a block's few pairs x dim
+# buffers stay in cache
 PAIR_BLOCK = 2048
+# social pairs per block of `backbone.propagate`'s backward, which takes one
+# inner product per pair (a sampled dense-dense product, SDDMM) of rows
+# 2 L dim wide; 2048-pair blocks of those rows spill the cache
+SDDMM_BLOCK = 128
 
 
 class EdgeLayout:
@@ -31,8 +34,9 @@ class EdgeLayout:
 
     Entry order: social pairs (a -> b), social pairs (b -> a), interactions
     (user -> item), interactions (item -> user).  The CSR structure of the
-    adjacency and the per-block pair plan are built on first use, so
-    evaluation never pays for the plan, which only a backward pass needs.
+    adjacency and the pair plan (`pair_blocks`, `pair_sums`) are built on
+    first use, so evaluation never pays for the plan, which only a backward
+    pass needs.
     """
 
     def __init__(self, dataset: Dataset):
@@ -50,7 +54,7 @@ class EdgeLayout:
         self.user_count = M
         self.item_count = dataset.item_count
         self._csr_structure = None
-        self._pair_blocks = None
+        self._pair_blocks = self._pair_sums = None
 
     def _csr(self):
         """(layout-to-CSR entry order, indices, indptr).  Entries are ordered
@@ -66,20 +70,38 @@ class EdgeLayout:
             self._csr_structure = (order, template.indices, template.indptr)
         return self._csr_structure
 
+    def _plan(self):
+        if self._pair_blocks is None:
+            blocks = []
+            for lo in range(0, self.social_count, PAIR_BLOCK):
+                hi = min(lo + PAIR_BLOCK, self.social_count)
+                blocks.append((lo, hi) + _one_hot_block(self.social_a[lo:hi])
+                              + _one_hot_block(self.social_b[lo:hi]))
+            # one entry per column: the product streams X's rows in order
+            # and sums each user's rows in pair order, as CSR would; the
+            # second matrix shares the first's values and column starts
+            shape = (self.user_count, self.social_count)
+            to_a = sp.csc_matrix((np.ones(self.social_count), self.social_a,
+                                  np.arange(self.social_count + 1)), shape=shape)
+            to_b = sp.csc_matrix((to_a.data, self.social_b, to_a.indptr), shape=shape)
+            self._pair_blocks, self._pair_sums = blocks, (to_a, to_b)
+
     def pair_blocks(self):
         """The social pairs in blocks of PAIR_BLOCK, as a list of
         (lo, hi, users_a, to_a, users_b, to_b): users_a are the distinct first
         users of pairs lo..hi-1 and to_a the one-hot (len(users_a) x block)
         CSR matrix with `to_a @ X` summing the block's rows of X per user;
         likewise for the second users.  Built once per layout."""
-        if self._pair_blocks is None:
-            plan = []
-            for lo in range(0, self.social_count, PAIR_BLOCK):
-                hi = min(lo + PAIR_BLOCK, self.social_count)
-                plan.append((lo, hi) + _one_hot_block(self.social_a[lo:hi])
-                            + _one_hot_block(self.social_b[lo:hi]))
-            self._pair_blocks = plan
+        self._plan()
         return self._pair_blocks
+
+    def pair_sums(self):
+        """(to_a, to_b): the one-hot (user_count x social_count) CSC matrices
+        with `to_a @ X` summing the rows of X per pair's first user, and
+        `to_b @ X` per second user.  Built once per layout, with
+        `pair_blocks`."""
+        self._plan()
+        return self._pair_sums
 
 
 def _one_hot_block(users: np.ndarray):

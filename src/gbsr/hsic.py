@@ -13,7 +13,10 @@ buffer from its product to its centering:
 - one GEMM of the augmented rows [z_i, -|z_i|^2/2, 1] / sigma^2 and
   [z_j, 1, -|z_j|^2/2] gives the exponent -d2_ij / (2 sigma^2) directly;
   it is clamped at 0 (where d2 < 0 from cancellation), set to an exact 0 on
-  the diagonal (so K_ii = 1) and exponentiated in place;
+  the diagonal (so K_ii = 1) and exponentiated in place.  The clamp only
+  undoes rounding, so the backward treats clamped entries like any other:
+  the exact d2 is never negative, and the gradient term of a pair,
+  G_ij (x_i - x_j), is taken from the rows themselves;
 - the kernel is centered in place from its row sums r and total S as
   K_ij + c_i + c_j with c = S / (2 n^2) - r / n, which is H K H for a
   symmetric K and exactly 0 for a constant one;
@@ -44,18 +47,15 @@ def _normalize_rows(Z: np.ndarray):
     return Z * r, r
 
 
-def _rbf(Z: np.ndarray, sigma_sq: float):
-    """RBF kernel of the rows of Z, and the flat indices of the entries whose
-    squared distance came out negative and was clamped at 0 (they pass no
-    gradient; the diagonal passes none either)."""
+def _rbf(Z: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """RBF kernel of the rows of Z."""
     half_sq = -0.5 * (Z * Z).sum(axis=1, keepdims=True)
     one = np.ones_like(half_sq)
     # row i of the product is -d2_i. / (2 sigma^2)
     K = (np.hstack([Z, half_sq, one]) / sigma_sq) @ np.hstack([Z, one, half_sq]).T
-    clamped = np.flatnonzero(K > 0.0)  # rare: cancellation between near-equal rows
-    K.flat[clamped] = 0.0
+    np.minimum(K, 0.0, out=K)  # d2 < 0 only from cancellation between near-equal rows
     np.fill_diagonal(K, 0.0)  # exact zero diagonal -> K_ii = 1
-    return np.exp(K, out=K), clamped
+    return np.exp(K, out=K)
 
 
 def _center(K: np.ndarray) -> np.ndarray:
@@ -78,14 +78,14 @@ def _side(T: ad.Tensor, users: np.ndarray, sigma_sq: float, normalize: bool):
     """Centered kernel of T's batch rows and, when T carries a gradient, what
     its backward needs: the gathered rows Z, their inverse norms r (None
     without normalization), the kernel's input rows, the centered kernel,
-    its centering vector c and the clamped entries' flat indices."""
+    and its centering vector c."""
     Z = T.data[users]
     Zn, r = _normalize_rows(Z) if normalize else (Z, None)
-    K, clamped = _rbf(Zn, sigma_sq)
+    K = _rbf(Zn, sigma_sq)
     c = _center(K)
     if not T.requires_grad:
         return K, None
-    return K, (Z, r, Zn, K, c, clamped)
+    return K, (Z, r, Zn, K, c)
 
 
 def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
@@ -95,7 +95,7 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
 
     H is idempotent, so dHSIC/dKx = H Ky H / (n-1)^2 is the already-centered
     Kyc / (n-1)^2.  Through the RBF, with W the raw kernel Kx = Kxc - c_i -
-    c_j zeroed on its diagonal and clamped entries, G = Kyc * W and
+    c_j zeroed on its diagonal, G = Kyc * W and
     s = -1 / ((n-1)^2 2 sigma^2), s G is the gradient of the squared
     distances and dHSIC/dXn = 4 s (diag(G 1) - G) Xn; one GEMM of [Xn | 1]^T
     and G gives G Xn and G 1 together.  Row normalization Xn = r Z with
@@ -119,11 +119,10 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     def backward(g):
         scale = -4.0 * float(g) / (float((n - 1) ** 2) * 2.0 * sigma_sq)
         G = np.empty((n, n))
-        for T, (Z, r, Zn, Kc, c, clamped), other in routes:
+        for T, (Z, r, Zn, Kc, c), other in routes:
             np.subtract(Kc, c[:, None], out=G)
             G -= c
             G *= other
-            G.flat[clamped] = 0.0
             np.fill_diagonal(G, 0.0)
             # G is symmetric up to rounding, so [Xn | 1]^T G gives the
             # transposed [G Xn | G 1]; this operand order is the faster GEMM
@@ -144,7 +143,7 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
     if not (sigma_sq > 0.0):
         raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
-    return _rbf(X, sigma_sq)[0]
+    return _rbf(X, sigma_sq)
 
 
 def hsic_estimate(Kx: np.ndarray, Ky: np.ndarray) -> float:

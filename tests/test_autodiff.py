@@ -118,6 +118,20 @@ class TestStructure:
         ad.gather(t, np.array([0, 0, 0])).sum().backward()
         np.testing.assert_array_equal(t.grad, [[3.0], [0.0]])
 
+    def test_gather_backward_bitwise_equals_add_at(self):
+        # a batch's shape: many repeated rows whose gradients span magnitudes,
+        # so a different summation order would show in the last bits
+        rng = np.random.default_rng(7)
+        index = rng.integers(0, 300, size=2048)
+        g = rng.standard_normal((2048, 16)) * 10.0 ** rng.integers(-8, 8, size=(2048, 1))
+        t = ad.Tensor(rng.standard_normal((300, 16)), requires_grad=True)
+        out = ad.gather(t, index)
+        out._backward(g)
+        want = np.zeros_like(t.data)
+        np.add.at(want, index, g)
+        assert np.bincount(index).max() > 10
+        np.testing.assert_array_equal(t.grad, want)
+
     def test_scatter_sum(self):
         idx = np.array([0, 2, 2, 1, 0])
         w = np.array([1.0, -1.0, 2.0])

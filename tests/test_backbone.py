@@ -212,9 +212,11 @@ class TestPropagateOp:
             np.testing.assert_allclose(rho_t.grad, rho_g.grad, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("layers", range(1, MAX_LAYERS + 1))
-    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    @pytest.mark.parametrize("block", [1, 2, 3, 64, graph.SDDMM_BLOCK])
     def test_rho_gradient_across_pair_blocks(self, monkeypatch, block, layers):
-        monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+        # the per-pair products walk the pairs in blocks of SDDMM_BLOCK; the
+        # cases include the empty pair set
+        monkeypatch.setattr(graph, "SDDMM_BLOCK", block)
         straddle = Dataset(6, 3, [(u, u % 3) for u in range(6)], [], STRADDLE_PAIRS)
         rho = np.random.default_rng(block).uniform(0.1, 0.9, size=len(STRADDLE_PAIRS))
         for name, ds, rho in [("straddle", straddle, rho)] + propagation_cases():
@@ -226,10 +228,14 @@ class TestPropagateOp:
             for readout in (propagate, generic_readout):
                 rho_t = ad.Tensor(rho, requires_grad=True)
                 E_t = ad.Tensor(E0, requires_grad=True)
-                (readout(rho_t, E_t, layout, layers) * W).sum().backward()
+                out = readout(rho_t, E_t, layout, layers)
+                forward = out.data.copy()
+                (out * W).sum().backward()
+                np.testing.assert_array_equal(out.data, forward, err_msg=name)
                 grads.append((rho_t.grad, E_t.grad))
             (rho_f, E_f), (rho_g, E_g) = grads
             np.testing.assert_allclose(E_f, E_g, rtol=1e-12, atol=1e-14, err_msg=name)
+            assert rho_f.shape == rho.shape, name
             if rho.size:
                 np.testing.assert_allclose(rho_f, rho_g, rtol=1e-12, atol=1e-14,
                                            err_msg=name)

@@ -192,6 +192,26 @@ class TestTrain:
                    (tmp_path / "train_log_seed0.jsonl").read_text().strip().split("\n")]
         assert all(r["ib_loss"] == 0.0 for r in records if "ib_loss" in r)
 
+    def test_social_free_synth_trains_and_evaluates(self, tmp_path):
+        # no intra-cluster and no noise edges: synth writes an empty
+        # social.tsv, which loads as the graph without social pairs
+        data = tmp_path / "data"
+        flags = [f if f not in ("0.3", "0.5") else "0" for f in SYNTH_FLAGS]
+        assert main(["synth", "--out", str(data)] + flags) == 0
+        assert (data / "social.tsv").read_text() == ""
+        inputs = ["--interactions", str(data / "interactions.tsv"),
+                  "--social", str(data / "social.tsv")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT, encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--epochs", "1", "--out",
+                     str(tmp_path / "run")] + inputs) == 0
+        assert main(["evaluate", "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint_seed0.bin"),
+                     "--out", str(tmp_path / "eval")] + inputs) == 0
+        trained = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert evaluated["cutoffs"] == trained["cutoffs"]
+
     def test_multi_seed_run(self, data_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEXT, encoding="utf-8")

@@ -94,6 +94,29 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="empty"):
             load_dataset(inter, social)
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["no_bytes", "blank_lines"])
+    def test_empty_interactions_rejected_with_empty_social(self, tmp_path, text):
+        inter = tmp_path / "i.tsv"
+        social = tmp_path / "s.tsv"
+        inter.write_text(text, encoding="utf-8")
+        social.write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match=r"empty input file: .*i\.tsv"):
+            load_dataset(inter, social)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["no_bytes", "blank_lines"])
+    def test_empty_social_file_is_the_social_free_graph(self, tmp_path, text):
+        inter = tmp_path / "i.tsv"
+        social = tmp_path / "s.tsv"
+        write_edges(inter, [(7, 5), (3, 6), (7, 6), (3, 5)])
+        social.write_text(text, encoding="utf-8")
+        ds = load_dataset(inter, social, split_ratio=1.0, seed=0)
+        want = ds.without_social()
+        assert (ds.user_count, ds.item_count) == (2, 2)
+        assert ds.social_pairs.shape == want.social_pairs.shape == (0, 2)
+        assert ds.social_pairs.dtype == want.social_pairs.dtype
+        assert not ds.social_pairs.flags.writeable
+        np.testing.assert_array_equal(ds.train_pairs, want.train_pairs)
+
     def test_missing_file_names_path(self, tmp_path):
         social = tmp_path / "s.tsv"
         write_edges(social, [(1, 2)])

@@ -101,7 +101,10 @@ class TestConfidenceOp:
 
         fused = [ad.Tensor(x, requires_grad=True) for x in arrays]
         out = confidences(fused[0], fused[1:], layout)
+        forward = out.data.copy()
         (out * w).sum().backward()
+        # the backward reuses the kept hidden layer, never the output
+        np.testing.assert_array_equal(out.data, forward)
         generic = [ad.Tensor(x, requires_grad=True) for x in arrays]
         E, (W1, b1, W2, b2) = generic[0], generic[1:]
         ea, eb = ad.gather(E, layout.social_a), ad.gather(E, layout.social_b)
@@ -123,7 +126,7 @@ class TestConfidenceOp:
     def test_all_parents(self):
         self.check_all_parents(4, CYCLE)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    @pytest.mark.parametrize("block", [1, 2, 3, 64, graph.PAIR_BLOCK])
     @pytest.mark.parametrize("name,users,social", [
         ("cycle", 4, CYCLE), ("straddle", 6, STRADDLE_PAIRS), ("no_social", 3, [])],
         ids=["cycle", "straddle", "no_social"])

@@ -285,10 +285,6 @@ class TestReportShape:
         assert set(d) == {"cutoffs", "evaluated_user_count"}
         json.dumps(d)  # must be serializable as-is
 
-    def test_json_dict_omits_empty_runs(self):
-        d = MetricsReport({10: 0.1}, {10: 0.1}, 1).to_json_dict()
-        assert "per_seed" not in d
-
 
 class TestMultiSeed:
     """Per-seed rows and their means, as `gbsr train --seed a,b` writes them."""

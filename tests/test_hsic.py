@@ -276,7 +276,9 @@ class TestBottleneckOp:
 
     def test_clamped_distances_match_chain(self):
         # rows equal up to a last-bit perturbation: some squared distances
-        # come out negative and are clamped, so their entries pass nothing
+        # come out negative and are clamped, in the op and in the chain; the
+        # rows of such a pair agree to the last bit, so its gradient term is
+        # ~1e-16 of the block whether or not it is dropped
         rng = np.random.default_rng(23)
         base = rng.standard_normal((1, 6))
         X = base * (1.0 + rng.integers(-4, 5, size=(12, 1)) * 2.0 ** -52)
@@ -292,6 +294,38 @@ class TestBottleneckOp:
         assert abs(v - cv) <= 1e-13 * abs(cv)
         assert_blocks_close(gx, cgx)
         assert_blocks_close(gy, cgy)
+
+    def test_clamped_distances_pass_the_exact_gradient(self):
+        # rows about 1e-9 apart: their squared distances, ~1e-18, come out of
+        # the op's augmented product below 0 for some pairs and are clamped,
+        # while each pair's gradient term G_ij (x_i - x_j) is ~1e-9 of the
+        # block; the reference takes distances and differences row by row,
+        # without cancellation, so an op that dropped the clamped entries'
+        # terms would miss it by far more than the tolerance
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((1, 6)) + rng.standard_normal((12, 6)) * 1e-9
+        X[6:] = rng.standard_normal((6, 6))
+        Y = rng.standard_normal((12, 6))
+        n, sigma_sq = 12, 0.5
+        Xn, Yn = normalize_rows(X), normalize_rows(Y)
+        half = -0.5 * (Xn * Xn).sum(axis=1, keepdims=True)
+        one = np.ones_like(half)
+        exponent = (np.hstack([Xn, half, one]) / sigma_sq) @ np.hstack([Xn, one, half]).T
+        np.fill_diagonal(exponent, 0.0)
+        assert (exponent > 0.0).sum() >= 4
+
+        H = np.eye(n) - 1.0 / n
+        Kx, Ky = (np.exp(-((Z[:, None] - Z[None]) ** 2).sum(axis=2) / (2.0 * sigma_sq))
+                  for Z in (Xn, Yn))
+        D = (H @ Ky @ H) / (n - 1) ** 2 * Kx * (-1.0 / (2.0 * sigma_sq))
+        np.fill_diagonal(D, 0.0)
+        gXn = 2.0 * ((D + D.T)[:, :, None] * (Xn[:, None] - Xn[None])).sum(axis=1)
+        r = 1.0 / np.sqrt((X * X).sum(axis=1, keepdims=True) + 1e-24)
+        want = r * gXn - X * r ** 3 * (gXn * X).sum(axis=1, keepdims=True)
+
+        Xt = ad.Tensor(X, requires_grad=True)
+        hsic.bottleneck(Xt, ad.constant(Y), np.arange(n), sigma_sq, True).backward()
+        assert_blocks_close(Xt.grad, want)
 
     def test_constant_y_gets_no_gradient(self):
         # the detached original branch: Y is a constant of the tape
