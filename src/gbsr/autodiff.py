@@ -247,16 +247,6 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(t.data, lo, hi), (t,), backward)
 
 
-def minimum(t: Tensor, bound: float) -> Tensor:
-    mask = t.data <= bound
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * mask)
-
-    return _make(np.minimum(t.data, bound), (t,), backward)
-
-
 # -- indexing and structure -------------------------------------------------
 
 

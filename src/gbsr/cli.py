@@ -227,8 +227,7 @@ def run_evaluate(cfg: RunConfig) -> None:
 
 def run_export_confidence(cfg: RunConfig) -> None:
     state, cfg, dataset = _load_checkpoint_and_data(cfg)
-    cmap = denoiser_mod.denoise(state.denoiser, state.embeddings.matrix,
-                                dataset, mode="deterministic")
+    cmap = denoiser_mod.denoise(state.denoiser, state.embeddings.matrix, dataset)
     atomic_write_text(Path(cfg.out) / "confidence.csv",
                       denoiser_mod.confidence_csv(cmap))
     _write_manifest(cfg, "export-confidence", ["confidence.csv"])

@@ -226,9 +226,8 @@ def _parse_lines(p: Path, lines: List[str]) -> np.ndarray:
 
 
 def _read_edge_file(path, allow_empty: bool = False) -> np.ndarray:
-    """Distinct (a, b) rows of an edge file as an (n, 2) int64 array, in
-    order of first appearance; a file without rows is an error unless
-    allow_empty."""
+    """The (a, b) rows of an edge file as an (n, 2) int64 array, in file
+    order; a file without rows is an error unless allow_empty."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing input file: {p}")
@@ -242,7 +241,7 @@ def _read_edge_file(path, allow_empty: bool = False) -> np.ndarray:
         rows = _parse_lines(p, lines)
     if not (rows.size or allow_empty):
         raise DataError(f"empty input file: {p}")
-    return rows[np.sort(_distinct_rows(rows))]
+    return rows
 
 
 def _first_appearance_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -280,6 +279,9 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     if not (0.0 < split_ratio <= 1.0):
         raise DataError(f"split_ratio must lie in (0, 1], got {split_ratio}")
     inter_raw = _read_edge_file(interactions_path)
+    # a repeated interaction would change its user's split; `Dataset`
+    # collapses repeated social pairs once they are oriented
+    inter_raw = inter_raw[np.sort(_distinct_rows(inter_raw))]
     # an empty social file is the social-free graph
     social_raw = _read_edge_file(social_path, allow_empty=True)
 

@@ -8,8 +8,9 @@ edge weight:
     relax(w, delta, t) = logistic((log(delta / (1 - delta)) + w) / t)
 with w clamped to [1e-6, 1 - 1e-6] first, and the final weight is
     rho = min(1, relax + epsilon).
-Stochastic mode draws delta uniformly per pair; deterministic mode fixes
-delta = 0.5, which makes rho a monotone function of w alone.
+Training draws delta uniformly per pair; `denoise`, the evaluation and
+export readout, fixes delta = 0.5, which makes rho a monotone function of w
+alone.
 `confidences` (one fused tape op over all pairs, walked in blocks of
 `graph.PAIR_BLOCK` pairs) and `relax_sample` are written on the autodiff
 tape; training records them on the parameter leaves and `denoise` runs them
@@ -19,7 +20,6 @@ on constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -33,6 +33,10 @@ from .graph import EdgeLayout, layout_for
 CONFIDENCE_CLAMP = 1e-6
 DELTA_CLAMP = 1e-12
 
+# the relaxation's defaults, shared by `DenoiserParams` and the train config
+DEFAULT_TEMPERATURE = 0.2
+DEFAULT_EPSILON = 0.5
+
 
 @dataclass
 class DenoiserParams:
@@ -42,8 +46,8 @@ class DenoiserParams:
     layer1_bias: np.ndarray    # (d,)
     layer2_weight: np.ndarray  # (d, 1)
     layer2_bias: np.ndarray    # (1,)
-    temperature: float = 0.2
-    observation_bias: float = 0.5  # epsilon added to every relaxed weight
+    temperature: float = DEFAULT_TEMPERATURE
+    observation_bias: float = DEFAULT_EPSILON  # added to every relaxed weight
 
     def __post_init__(self):
         self.layer1_weight = np.asarray(self.layer1_weight, dtype=np.float64)
@@ -73,7 +77,8 @@ class DenoiserParams:
 
     @classmethod
     def init(cls, dim: int, rng: np.random.Generator, scale: float = 0.01,
-             temperature: float = 0.2, observation_bias: float = 0.5) -> "DenoiserParams":
+             temperature: float = DEFAULT_TEMPERATURE,
+             observation_bias: float = DEFAULT_EPSILON) -> "DenoiserParams":
         return cls(
             layer1_weight=rng.normal(0.0, scale, size=(3 * dim, dim)),
             layer1_bias=np.zeros(dim),
@@ -187,13 +192,16 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
 def relax_sample(w: ad.Tensor, delta, temperature: float,
                  observation_bias: float) -> ad.Tensor:
     """Relaxed Bernoulli reparameterization plus the observation floor:
-    min(1, relax(w, delta, t) + epsilon) for confidences w and draws delta."""
+    min(1, relax(w, delta, t) + epsilon) for confidences w and draws delta.
+
+    The sum is never negative, so clipping it to [0, 1] is that minimum,
+    with the same zero gradient where it clamps."""
     if not (temperature > 0.0):
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     w = ad.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
     d = np.clip(delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
     relaxed = ad.sigmoid((w + np.log(d / (1.0 - d))) / temperature)
-    return ad.minimum(relaxed + observation_bias, 1.0)
+    return ad.clip(relaxed + observation_bias, 0.0, 1.0)
 
 
 class EdgeConfidenceMap:
@@ -217,15 +225,13 @@ class EdgeConfidenceMap:
 
 
 def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
-            dataset: Dataset, mode: str = "deterministic",
-            rng: Optional[np.random.Generator] = None) -> EdgeConfidenceMap:
-    """Score every social pair and attach relaxed keep-weights.
-
-    mode "stochastic" draws one delta per pair from rng; "deterministic"
-    fixes delta = 0.5 for reproducible evaluation and export.
+            dataset: Dataset, mode: str = "deterministic") -> EdgeConfidenceMap:
+    """Score every social pair and attach relaxed keep-weights at the fixed
+    draw delta = 0.5, for reproducible evaluation and export.  `mode`
+    accepts only "deterministic".
     """
-    if mode not in ("stochastic", "deterministic"):
-        raise ConfigError(f"mode must be 'stochastic' or 'deterministic', got {mode!r}")
+    if mode != "deterministic":
+        raise ConfigError(f"mode must be 'deterministic', got {mode!r}")
     emb = np.asarray(user_embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] < dataset.user_count:
         raise DataError(
@@ -237,13 +243,8 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
     head = tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
                                          params.layer2_weight, params.layer2_bias))
     w = confidences(ad.constant(emb), head, layout_for(dataset))
-    if mode == "stochastic":
-        if rng is None:
-            raise ConfigError("stochastic mode needs an rng")
-        delta = rng.uniform(size=pairs.shape[0])
-    else:
-        delta = np.full(pairs.shape[0], 0.5)
-    relaxed = relax_sample(w, delta, params.temperature, params.observation_bias)
+    relaxed = relax_sample(w, np.full(pairs.shape[0], 0.5), params.temperature,
+                           params.observation_bias)
     return EdgeConfidenceMap(pairs, w.data, relaxed.data)
 
 

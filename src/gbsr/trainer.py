@@ -23,7 +23,7 @@ from . import data as data_mod
 from . import evaluation, objective
 from .backbone import EmbeddingTable, MAX_LAYERS
 from .data import Dataset
-from .denoiser import DenoiserParams, denoise
+from .denoiser import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, DenoiserParams, denoise
 from .errors import CheckpointError, ConfigError, NumericError
 from .graph import build_adjacency, layout_for
 from .ioutil import atomic_write_bytes
@@ -48,8 +48,8 @@ class TrainConfig:
     reg_lambda: float = 1e-4
     beta: float = 1.0
     sigma_sq: float = 1.0
-    temperature: float = 0.2
-    epsilon: float = 0.5
+    temperature: float = DEFAULT_TEMPERATURE
+    epsilon: float = DEFAULT_EPSILON
     epochs: int = 100
     eval_every: int = 1
     patience: int = 50
@@ -178,9 +178,8 @@ def train_epoch(state: TrainState, dataset: Dataset, config: TrainConfig,
 
 def evaluate_state(state: TrainState, dataset: Dataset,
                    config: TrainConfig) -> "evaluation.MetricsReport":
-    """Deterministic-mode denoise, forward, rank: the evaluation readout."""
-    cmap = denoise(state.denoiser, state.embeddings.matrix, dataset,
-                   mode="deterministic")
+    """Denoise at the fixed draw, forward, rank: the evaluation readout."""
+    cmap = denoise(state.denoiser, state.embeddings.matrix, dataset)
     adj = build_adjacency(dataset, cmap)
     reps = backbone.forward(state.embeddings, adj)
     return evaluation.evaluate(reps, dataset, config.cutoffs)

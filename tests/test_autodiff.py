@@ -101,11 +101,6 @@ class TestNonlinearities:
         ad.clip(t, -1.0, 1.0).sum().backward()
         np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
 
-    def test_minimum(self):
-        t = ad.Tensor(np.array([0.2, 0.9, 1.5]), requires_grad=True)
-        ad.minimum(t, 1.0).sum().backward()
-        np.testing.assert_array_equal(t.grad, [1.0, 1.0, 0.0])
-
 
 class TestStructure:
     def test_gather(self):

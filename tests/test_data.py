@@ -311,10 +311,23 @@ class TestIngestionPaths:
             load_dataset(inter, social)
 
     def test_distinct_rows_keep_first_appearance(self, tmp_path):
-        rows = [(5, 1), (2, 9), (5, 1), (-3, 4), (2, 9), (2, 8), (-3, 4)]
+        # repeated lines change neither the dense ids nor any user's split
+        rows = [(5, 1), (2, 9), (5, 1), (-3, 4), (2, 9), (2, 8), (-3, 4),
+                (5, 7), (5, 3), (5, 1)]
+        social = [(2, 5), (5, 2), (-3, 6), (2, 5)]
         write_edges(tmp_path / "i.tsv", rows)
-        np.testing.assert_array_equal(data._read_edge_file(tmp_path / "i.tsv"),
-                                      list(dict.fromkeys(rows)))
+        write_edges(tmp_path / "s.tsv", social)
+        write_edges(tmp_path / "i1.tsv", dict.fromkeys(rows))
+        write_edges(tmp_path / "s1.tsv", dict.fromkeys(social))
+        got = load_dataset(tmp_path / "i.tsv", tmp_path / "s.tsv", split_ratio=0.5, seed=3)
+        want = load_dataset(tmp_path / "i1.tsv", tmp_path / "s1.tsv", split_ratio=0.5, seed=3)
+        assert (got.user_count, got.item_count) == (want.user_count, want.item_count) == (4, 6)
+        for name in ("train_pairs", "test_pairs", "social_pairs"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(
+            np.unique(np.concatenate([got.train_pairs, got.test_pairs]), axis=0),
+            [(0, 0), (0, 4), (0, 5), (1, 1), (1, 3), (2, 2)])
+        np.testing.assert_array_equal(got.social_pairs, [(0, 1), (2, 3)])
 
 
 class TestSplit:

@@ -218,6 +218,30 @@ class TestRelaxation:
             got = float(np.mean(relax(w, rng.uniform(size=200_000), t)))
             assert got == pytest.approx(want, abs=5e-3)
 
+    def test_relaxed_bounds_any_draw(self):
+        rng = np.random.default_rng(9)
+        w = ad.constant(rng.uniform(size=50))
+        for _ in range(20):
+            rho = relax_sample(w, rng.uniform(size=50), 0.2, 0.3).data
+            assert (rho >= 0.0).all() and (rho <= 1.0).all()
+
+    def test_floor_clamp_gradient(self):
+        # where relax + epsilon > 1 the clamp passes no gradient; below 1 the
+        # gradient is the unclamped chain's, d relax / dw = relax (1 - relax) / t
+        rng = np.random.default_rng(4)
+        w0, delta = rng.uniform(0.05, 0.95, 40), rng.uniform(0.05, 0.95, 40)
+        t, eps = 0.2, 0.3
+        w = ad.Tensor(w0, requires_grad=True)
+        relax_sample(w, delta, t, eps).sum().backward()
+        free = ad.Tensor(w0, requires_grad=True)
+        relax_sample(free, delta, t, 0.0).sum().backward()
+        r = relax(w0, delta, t)
+        clamped = r + eps > 1.0
+        assert clamped.any() and (~clamped).any()
+        np.testing.assert_array_equal(w.grad[clamped], 0.0)
+        np.testing.assert_array_equal(w.grad[~clamped], free.grad[~clamped])
+        np.testing.assert_allclose(free.grad, r * (1.0 - r) / t, rtol=1e-13)
+
 
 class TestDenoise:
     def _setup(self, epsilon, seed=0):
@@ -230,46 +254,26 @@ class TestDenoise:
 
     def test_deterministic_composition(self):
         ds, params, emb = self._setup(epsilon=0.1)
-        cmap = denoise(params, emb, ds, mode="deterministic")
+        cmap = denoise(params, emb, ds)
         w = pair_confidences(params, emb[ds.social_pairs[:, 0]],
                              emb[ds.social_pairs[:, 1]])
         rho = np.minimum(relax(w, 0.5, params.temperature) + 0.1, 1.0)
         np.testing.assert_array_equal(cmap.confidence, w)
         np.testing.assert_array_equal(cmap.relaxed, rho)
 
-    def test_stochastic_draws_one_delta_per_edge(self):
-        ds, params, emb = self._setup(epsilon=0.0)
-        cmap = denoise(params, emb, ds, mode="stochastic",
-                       rng=np.random.default_rng(5))
-        delta = np.random.default_rng(5).uniform(size=3)
-        want = np.minimum(relax(cmap.confidence, delta,
-                                       params.temperature), 1.0)
-        np.testing.assert_array_equal(cmap.relaxed, want)
-
-    def test_stochastic_requires_rng(self):
-        ds, params, emb = self._setup(epsilon=0.0)
-        with pytest.raises(ConfigError, match="rng"):
-            denoise(params, emb, ds, mode="stochastic")
-
     def test_unknown_mode(self):
         ds, params, emb = self._setup(epsilon=0.0)
-        with pytest.raises(ConfigError, match="mode"):
-            denoise(params, emb, ds, mode="mean")
+        for mode in ("mean", "stochastic"):
+            with pytest.raises(ConfigError, match="mode"):
+                denoise(params, emb, ds, mode=mode)
 
     def test_half_bias_saturates_deterministic(self):
         # with observation floor 0.5 the deterministic relaxed weight is
         # exactly 1 for every edge: relax(w, 0.5) > 0.5 whenever w > 0
         for seed in range(5):
             ds, params, emb = self._setup(epsilon=0.5, seed=seed)
-            cmap = denoise(params, emb, ds, mode="deterministic")
+            cmap = denoise(params, emb, ds)
             assert (cmap.relaxed == 1.0).all()
-
-    def test_relaxed_bounds_any_mode(self):
-        ds, params, emb = self._setup(epsilon=0.3)
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            cmap = denoise(params, emb, ds, mode="stochastic", rng=rng)
-            assert (cmap.relaxed >= 0.0).all() and (cmap.relaxed <= 1.0).all()
 
 
 class TestMap:

@@ -285,7 +285,7 @@ class TestWithoutSocial:
         rng = np.random.default_rng(0)
         state = init(cfg, ds, rng)
         E = state.embeddings.matrix
-        cmap = denoise(state.denoiser, E, ds, mode="deterministic")
+        cmap = denoise(state.denoiser, E, ds)
         assert cmap.pairs.shape == (0, 2) and cmap.relaxed.shape == (0,)
         reps = backbone.forward(state.embeddings, graph.build_adjacency(ds, cmap))
         report = evaluation.evaluate(reps, ds, cfg.cutoffs)
