@@ -61,10 +61,15 @@ class Tensor:
         if self.data.ndim != 0:
             raise ValueError("backward() needs a scalar output")
         order = _toposort(self)
+        # a tape is single-use: refuse before any gradient is touched
+        if any(node._parents and node._backward is None for node in order):
+            raise RuntimeError("backward() over a tape whose backward already ran")
         self.grad = np.ones_like(self.data)
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # the closure holds the op's saved arrays; a run tape drops them
+                node._backward = None
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -7,8 +7,10 @@ the list; IDCG stacks the user's test items at the top, truncated at N.
 
 Users are ranked in blocks holding at most SCORE_BLOCK_BYTES of scores
 (LightGCN's full-ranking protocol): one `U_blk @ I.T` product, train items
-masked to -inf, one partition for each user's k-th best score, and one lexsort
-over every item scoring at least that.  `rank_user` is the one-user block.
+masked to -inf, one partition for each user's k-th best score, one
+`flatnonzero` over every item scoring at least that, and one stable `lexsort`
+of those candidates by (row, -score), which keeps `flatnonzero`'s ascending
+item order among equal scores.  `rank_user` is the one-user block.
 Recall and NDCG come from a (users x N) hit matrix.
 """
 
@@ -68,10 +70,13 @@ def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
     train_rows = dataset.train_pairs[s:e, 0] - lo
     scores[train_rows, dataset.train_pairs[s:e, 1]] = -np.inf
     # every item scoring at least the k-th best, exact ties at the boundary
-    # included; the lexsort then applies the (-score, item id) order
+    # included, as flat indices in ascending (row, item) order; the stable
+    # lexsort keeps that order among equal (row, score), so ties break
+    # toward the smaller item id
     kth = np.partition(scores, n - k, axis=1)[:, n - k]
-    rows, items = np.nonzero(scores >= kth[:, None])
-    order = np.lexsort((items, -scores[rows, items], rows))
+    flat = np.flatnonzero(scores >= kth[:, None])
+    rows, items = np.divmod(flat, n)
+    order = np.lexsort((-scores.ravel()[flat], rows))
     rows, items = rows[order], items[order]
     position = np.arange(rows.size) - np.searchsorted(rows, rows)
     # masked items sort last; cutting at the candidate count drops them

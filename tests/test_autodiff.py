@@ -224,6 +224,19 @@ class TestGraphMechanics:
         with pytest.raises(ValueError):
             (t * 2.0).backward()
 
+    def test_tape_is_single_use(self):
+        t = ad.Tensor(np.array([3.0]), requires_grad=True)
+        y = t * t
+        loss = y.sum()
+        loss.backward()
+        assert y._backward is None and loss._backward is None
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        # a new root over a spent node is refused before any gradient moves
+        with pytest.raises(RuntimeError):
+            (y + t).sum().backward()
+        np.testing.assert_array_equal(t.grad, [6.0])
+
     def test_ndarray_left_op_defers_to_tensor(self):
         t = ad.Tensor(np.ones(3), requires_grad=True)
         out = np.array([1.0, 2.0, 3.0]) + t

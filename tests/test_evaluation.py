@@ -164,8 +164,8 @@ class TestBlockedRanking:
     """Blocks of 1, 2 and 3 users against an exhaustive sort."""
 
     @staticmethod
-    def instance(rng):
-        M, N = int(rng.integers(5, 10)), int(rng.integers(3, 9))
+    def instance(rng, items):
+        M, N = int(rng.integers(5, 10)), int(rng.integers(*items))
         # a coarse grid puts exact ties on the k-th best score
         scores = rng.integers(0, 4, size=(M, N)) * 0.5
         train, test = [], []
@@ -180,8 +180,12 @@ class TestBlockedRanking:
             test += [(u, int(i)) for i in items[k_train:k_train + k_test]]
         return scores, Dataset(M, N, train, test, [])
 
-    @pytest.mark.parametrize("block_users", [1, 2, 3])
-    def test_against_exhaustive_sort(self, block_users, monkeypatch):
+    # 3-8 items, or 40-64 items on the same 4-value grid: ~10-16 candidates
+    # tied on every score, ordered by item id only through the stable sort
+    @pytest.mark.parametrize("block_users, items", [
+        *(pytest.param(b, (3, 9), id=str(b)) for b in (1, 2, 3)),
+        *(pytest.param(b, (40, 65), id=f"{b}-wide") for b in (1, 2, 3))])
+    def test_against_exhaustive_sort(self, block_users, items, monkeypatch):
         blocks = []
         ranked_block = evaluation._ranked_block
 
@@ -192,7 +196,7 @@ class TestBlockedRanking:
         monkeypatch.setattr(evaluation, "_ranked_block", spy)
         rng = np.random.default_rng(100 + block_users)
         for _ in range(40):
-            scores, ds = self.instance(rng)
+            scores, ds = self.instance(rng, items)
             M, N = scores.shape
             budget = block_users * 8 * N
             monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", budget)
