@@ -6,7 +6,10 @@ scores are plain inner products between user and item readout rows.
 `layer_readout` is the one definition of that loop.  `propagate` records
 degree renormalization, the loop and the readout as one tape node for
 training; `forward` runs the same loop on a `build_adjacency` operator for
-evaluation.  Both renormalize through `graph.renormalize`.
+evaluation.  Both renormalize through `graph.renormalize` and multiply by
+the operator through `graph.row_split`, which runs one product per span of
+rows on `graph`'s worker pool; each output row is the same sum as in the
+whole product.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ class NodeRepresentations:
     user_count: int
 
 
-def layer_readout(embeddings: np.ndarray, layers: int, operator):
-    """Layer states E, A E, ..., A^L E and their mean (the readout)."""
+def layer_readout(embeddings: np.ndarray, layers: int, multiply):
+    """Layer states E, A E, ..., A^L E and their mean (the readout), with
+    `multiply` the product X -> A X (`graph.row_split`)."""
     states = [embeddings]
     acc = embeddings
     for _ in range(layers):
-        states.append(operator @ states[-1])
+        states.append(multiply(states[-1]))
         acc = acc + states[-1]
     return states, acc / float(layers + 1)
 
@@ -77,16 +81,20 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     the only per-entry products needed.  Both ends of a social pair are
     users, so that sum is one row-wise dot <Z1[a], Z2[b]> of the user rows
     Z1 = [g_1 .. g_L | X_0 .. X_{L-1}] and Z2 = [X_0 .. X_{L-1} | g_1 .. g_L],
-    taken in blocks of `graph.SDDMM_BLOCK` pairs.
+    taken in blocks of `graph.SDDMM_BLOCK` pairs.  The products A X_l and
+    A g_{l+1} run on the worker pool (`graph.row_split`); the SDDMM loop
+    stays on the calling thread, since its small blocks spend much of their
+    time holding the interpreter lock.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
-    states, readout = layer_readout(embeddings.data, layers, operator)
+    multiply = graph.row_split(operator)
+    states, readout = layer_readout(embeddings.data, layers, multiply)
 
     def backward(G):
         share = G / float(layers + 1)
         g, upper, T = share, [], 0.0
         for lower, state in zip(states[-2::-1], states[:0:-1]):
-            Ag = operator @ g
+            Ag = multiply(g)
             if rho.requires_grad:
                 upper.append(g)
                 T = T + np.einsum("nd,nd->n", g, state) + np.einsum("nd,nd->n", Ag, lower)
@@ -123,6 +131,7 @@ def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentation
         raise DataError(
             f"embedding matrix has {table.matrix.shape[0]} rows but the graph has "
             f"{adj.node_count} nodes")
-    states, readout = layer_readout(table.matrix, table.layer_count, adj.operator)
+    states, readout = layer_readout(table.matrix, table.layer_count,
+                                    graph.row_split(adj.operator))
     return NodeRepresentations(states, readout, adj.layout.user_count)
 

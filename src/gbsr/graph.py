@@ -9,9 +9,30 @@ DEGREE_FLOOR, so fully down-weighted rows stay finite.  `renormalize` is the
 one place that turns a social weight vector into that operator: training's
 `backbone.propagate` runs it inside its fused tape op and `build_adjacency`
 runs it for evaluation.
+
+The heavy passes over every social pair and every adjacency row run on a
+thread pool of `WORKERS` threads, made on first use: numpy's and scipy's
+kernels release the interpreter lock, and BLAS pinned to one thread leaves
+the other cores idle.  Work is cut so that the worker count never changes a
+result: a span of pairs or rows writes only its own rows of a result, and
+partial sums that must be added are added by the calling thread in the
+serial order (`ordered_map`).  With one worker, or one span, every span
+runs inline on the calling thread, in order.  The calling thread makes the
+large buffers that tasks fill, so the n x n and block buffers live in its
+allocator arena, not in one per worker; only scipy's sparse products
+allocate their results in the worker that runs them.
+
+The pool's size is `worker_count`: the CPUs this process may use divided
+by the BLAS thread count, so the pool takes the cores that BLAS pinned to
+one thread leaves idle, and gets one worker when BLAS is not pinned.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +48,90 @@ PAIR_BLOCK = 2048
 # inner product per pair (a sampled dense-dense product, SDDMM) of rows
 # 2 L dim wide; 2048-pair blocks of those rows spill the cache
 SDDMM_BLOCK = 128
+
+# the variables the BLAS libraries numpy may link read their thread count from
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_count(environ, cpus: int) -> int:
+    """Pool threads for a process that may use `cpus` CPUs: the CPUs divided
+    by the BLAS thread count, at least 1.  The BLAS thread count is the
+    largest positive integer among BLAS_THREAD_VARIABLES in `environ`; when
+    none holds one, BLAS takes every CPU and the pool gets 1 worker, because
+    threads of both kinds on the same cores made steps slower."""
+    counts = []
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            counts.append(int(environ.get(name, "")))
+        except ValueError:
+            pass
+    blas = max((c for c in counts if c > 0), default=cpus)
+    return max(1, cpus // blas)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+WORKERS = worker_count(os.environ, _cpu_count())
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="gbsr")
+        return _pool
+
+
+def ordered_map(fn, items, window: int):
+    """Yield fn(item) for each item of the sequence `items`, in order.  With
+    WORKERS > 1 and several items the calls run on the pool, at most
+    `window` submitted and not yet yielded, so a call may reuse the buffers
+    of the call `window` places before it; otherwise they run inline, one
+    after another."""
+    if WORKERS == 1 or len(items) < 2:
+        for item in items:
+            yield fn(item)
+        return
+    pool, pending = _executor(), deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        wait(pending)
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(item) for item in items], the calls spread over the pool; the
+    calling thread runs the first one itself instead of waiting idle."""
+    items = list(items)
+    if WORKERS == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    rest = [_executor().submit(fn, item) for item in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        wait(rest)
+    return [first] + [future.result() for future in rest]
+
+
+def pair_spans(count: int):
+    """range(count) cut into at most WORKERS contiguous (lo, hi) spans whose
+    inner edges fall on multiples of PAIR_BLOCK, so each span walks whole
+    blocks of the serial loop; one (0, 0) span when count is 0."""
+    blocks = -(-count // PAIR_BLOCK)
+    parts = max(1, min(WORKERS, blocks))
+    edges = [min(count, blocks * k // parts * PAIR_BLOCK) for k in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class EdgeLayout:
@@ -126,6 +231,37 @@ def renormalize(social_weights: np.ndarray, layout: EdgeLayout):
     operator = sp.csr_matrix((normalized[order], indices, indptr),
                              shape=(layout.node_count, layout.node_count))
     return degrees, dinv, operator
+
+
+def row_split(operator: sp.csr_matrix):
+    """The product X -> operator @ X of a CSR operator, run as one product
+    per span of rows, at most WORKERS spans of about equal nonzero counts;
+    with one span it is the operator's own product.
+    A CSR product sums each output row over that row's entries in order, so
+    every row is the same sum as in the whole product.  The spans' CSR views
+    share the operator's arrays and are built here, once per operator."""
+    indptr, rows = operator.indptr, operator.shape[0]
+    targets = np.arange(1, WORKERS) * operator.nnz // WORKERS
+    bounds = np.unique(np.concatenate([[0], np.searchsorted(indptr, targets), [rows]]))
+    if bounds.size == 2:
+        return operator.__matmul__
+    views = [sp.csr_matrix((operator.data[indptr[r0]:indptr[r1]],
+                            operator.indices[indptr[r0]:indptr[r1]],
+                            indptr[r0:r1 + 1] - indptr[r0]),
+                           shape=(r1 - r0, operator.shape[1]))
+             for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+    def product(X: np.ndarray) -> np.ndarray:
+        out = np.empty((rows, X.shape[1]))
+
+        def span_product(span):
+            r0, r1, view = span
+            out[r0:r1] = view @ X
+
+        parallel_map(span_product, zip(bounds[:-1], bounds[1:], views))
+        return out
+
+    return product
 
 
 class WeightedAdjacency:

@@ -22,6 +22,11 @@ buffer from its product to its centering:
   symmetric K and exactly 0 for a constant one;
 - the value is one BLAS dot of the two centered kernels.
 
+The forward builds the two kernels concurrently on `graph`'s worker pool,
+each into an n x n buffer the calling thread makes.  The backward runs its
+routes one after another through one shared gradient buffer: concurrent
+routes would cost a second n x n buffer.
+
 Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import graph
 from .errors import ConfigError, DataError
 
 
@@ -47,12 +53,12 @@ def _normalize_rows(Z: np.ndarray):
     return Z * r, r
 
 
-def _rbf(Z: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """RBF kernel of the rows of Z."""
+def _rbf(Z: np.ndarray, sigma_sq: float, K: np.ndarray) -> np.ndarray:
+    """RBF kernel of the rows of Z, written into the n x n buffer K."""
     half_sq = -0.5 * (Z * Z).sum(axis=1, keepdims=True)
     one = np.ones_like(half_sq)
     # row i of the product is -d2_i. / (2 sigma^2)
-    K = (np.hstack([Z, half_sq, one]) / sigma_sq) @ np.hstack([Z, one, half_sq]).T
+    np.matmul(np.hstack([Z, half_sq, one]) / sigma_sq, np.hstack([Z, one, half_sq]).T, out=K)
     np.minimum(K, 0.0, out=K)  # d2 < 0 only from cancellation between near-equal rows
     np.fill_diagonal(K, 0.0)  # exact zero diagonal -> K_ii = 1
     return np.exp(K, out=K)
@@ -74,14 +80,15 @@ def _dependence(Kxc: np.ndarray, Kyc: np.ndarray) -> float:
     return np.dot(Kxc.ravel(), Kyc.ravel()) / float((n - 1) ** 2)
 
 
-def _side(T: ad.Tensor, users: np.ndarray, sigma_sq: float, normalize: bool):
-    """Centered kernel of T's batch rows and, when T carries a gradient, what
-    its backward needs: the gathered rows Z, their inverse norms r (None
-    without normalization), the kernel's input rows, the centered kernel,
-    and its centering vector c."""
+def _side(T: ad.Tensor, K: np.ndarray, users: np.ndarray, sigma_sq: float,
+          normalize: bool):
+    """Centered kernel of T's batch rows, written into the n x n buffer K,
+    and, when T carries a gradient, what its backward needs: the gathered
+    rows Z, their inverse norms r (None without normalization), the
+    kernel's input rows, the centered kernel, and its centering vector c."""
     Z = T.data[users]
     Zn, r = _normalize_rows(Z) if normalize else (Z, None)
-    K = _rbf(Zn, sigma_sq)
+    _rbf(Zn, sigma_sq, K)
     c = _center(K)
     if not T.requires_grad:
         return K, None
@@ -108,8 +115,10 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     if users.size < 2:
         raise DataError("HSIC needs at least 2 distinct users in the batch")
     n = users.size
-    Kxc, x_saved = _side(X, users, sigma_sq, normalize)
-    Kyc, y_saved = _side(Y, users, sigma_sq, normalize)
+    # the two kernels are built concurrently, each into a buffer made here
+    (Kxc, x_saved), (Kyc, y_saved) = graph.parallel_map(
+        lambda task: _side(*task, users, sigma_sq, normalize),
+        [(T, np.empty((n, n))) for T in (X, Y)])
     value = _dependence(Kxc, Kyc)
     # each differentiable side needs its own saved arrays and the other
     # side's centered kernel
@@ -143,7 +152,7 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
     if not (sigma_sq > 0.0):
         raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
-    return _rbf(X, sigma_sq)
+    return _rbf(X, sigma_sq, np.empty((X.shape[0], X.shape[0])))
 
 
 def hsic_estimate(Kx: np.ndarray, Ky: np.ndarray) -> float:

@@ -1,0 +1,135 @@
+"""The worker pool: its size rule, and that its size never changes a result.
+
+The all-pair kernels, the propagation products and the HSIC kernels run on
+`graph.WORKERS` threads.  Every result here must be bitwise equal at 1, 2
+and 3 workers, and at more workers than this host has cores with the
+interpreter switching threads as often as it can, which would expose a
+span writing outside its rows or a block buffer reused too early.
+"""
+
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gbsr import backbone, graph
+from gbsr.data import Dataset, SyntheticSpec, generate_synthetic, sample_batch_arrays
+from gbsr.denoiser import DenoiserParams, denoise
+from gbsr.objective import gradients
+
+
+@contextmanager
+def workers(count):
+    """graph.WORKERS set to count, on a pool of exactly that many threads
+    made for the block and shut down after it."""
+    saved = graph.WORKERS, graph._pool
+    graph.WORKERS, graph._pool = count, None
+    try:
+        yield
+    finally:
+        if graph._pool is not None:
+            graph._pool.shutdown()
+        graph.WORKERS, graph._pool = saved
+
+
+def instance(social):
+    if social:
+        spec = SyntheticSpec(cluster_count=2, users_per_cluster=12, items_per_cluster=10,
+                             interaction_rate=0.4, intra_social_rate=0.3,
+                             noise_edge_fraction=0.5, seed=11)
+        ds, _ = generate_synthetic(spec)
+    else:
+        ds = Dataset(6, 4, [(u, u % 4) for u in range(6)] + [(0, 1), (3, 2)], [], [])
+    rng = np.random.default_rng(5)
+    E = rng.standard_normal((ds.node_count, 4)) * 0.5
+    params = DenoiserParams.init(4, rng, scale=0.3, observation_bias=0.1)
+    batch = sample_batch_arrays(ds, 16, rng)
+    deltas = rng.uniform(0.05, 0.95, size=ds.social_pairs.shape[0])
+    return ds, E, params, batch, deltas
+
+
+def results(ds, E, params, batch, deltas):
+    """Losses and all five gradient blocks under both detach_original
+    values, the evaluation confidences and the evaluation readout."""
+    layout = graph.layout_for(ds)
+    out = {}
+    for detach in (False, True):
+        losses, grads = gradients(E, params, layout, batch, deltas, layers=3, beta=0.5,
+                                  reg_lambda=0.01, sigma_sq=0.7, detach_original=detach)
+        out[f"losses/{detach}"] = np.array([losses.rec_loss, losses.ib_loss,
+                                            losses.reg_loss, losses.total])
+        out.update({f"{name}/{detach}": g for name, g in grads.items()})
+    cmap = denoise(params, E, ds)
+    out["confidence"], out["relaxed"] = cmap.confidence, cmap.relaxed
+    adj = graph.build_adjacency(ds, cmap)
+    out["readout"] = backbone.forward(backbone.EmbeddingTable(E, 3), adj).readout
+    return out
+
+
+@pytest.mark.parametrize("social", [True, False], ids=["synthetic", "no_social"])
+def test_worker_count_never_changes_a_result(monkeypatch, social):
+    # one pair per block, set before the layout plans them: 59 blocks, so
+    # every count below reuses its backward's block buffers
+    monkeypatch.setattr(graph, "PAIR_BLOCK", 1)
+    ds, E, params, batch, deltas = instance(social)
+    blocks = len(graph.layout_for(ds).pair_blocks())
+    assert blocks == (59 if social else 0)
+    with workers(1):
+        want = results(ds, E, params, batch, deltas)
+    # the last count exceeds the cores, with the thread switch interval cut
+    stress = graph._cpu_count() + 2
+    interval = sys.getswitchinterval()
+    for count in (2, 3, stress):
+        try:
+            sys.setswitchinterval(1e-6 if count == stress else interval)
+            with workers(count):
+                spans = graph.pair_spans(ds.social_pairs.shape[0])
+                assert len(spans) == max(1, min(count, blocks))
+                got = results(ds, E, params, batch, deltas)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key].tobytes() == value.tobytes(), (count, key)
+
+
+class TestWorkerCount:
+    """The rule computes numbers only; no pool is built from them."""
+
+    @pytest.mark.parametrize("environ,cpus,count", [
+        ({}, 2, 1),
+        ({}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8),
+        ({"OMP_NUM_THREADS": "1"}, 8, 8),
+        ({"MKL_NUM_THREADS": "1"}, 6, 6),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "-2"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
+        ({"OPENBLAS_NUM_THREADS": "junk", "MKL_NUM_THREADS": "2"}, 8, 4),
+        # the largest BLAS count wins, so no core is asked to run two threads
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ])
+    def test_rule(self, environ, cpus, count):
+        assert graph.worker_count(environ, cpus) == count
+
+
+def test_import_starts_no_thread():
+    # the pool starts on first use, never at import
+    code = ("import threading, gbsr.cli, gbsr.graph; "
+            "print(threading.active_count(), gbsr.graph._pool)")
+    src = str(Path(graph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert run.stdout.split() == ["1", "None"]
