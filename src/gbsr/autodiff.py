@@ -8,6 +8,13 @@ by hand would be brittle, so the forward pass is recorded as a graph of
 needs exist here; every op runs on the CPU in float64 with a deterministic
 accumulation order, which keeps training bit-reproducible under a fixed seed.
 
+An op's `backward(g)`, given to `_make`, returns a tuple of one gradient
+(or None) per parent and writes no `.grad`.  `Tensor.backward` alone
+accumulates them; any other return, or an entry not shaped like its parent,
+raises `ValueError`.  A backward tests `requires_grad` only to skip real
+work: a product against a constant, `propagate`'s social-weight branch, and
+each HSIC side.
+
 Gradient correctness for each op is pinned by central-difference checks in
 the test suite; the composed pipeline is re-checked end to end there as well.
 """
@@ -32,7 +39,7 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """A numpy array plus the closure that routes gradients to its parents."""
+    """A numpy array plus the closure that returns its parents' gradients."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -51,12 +58,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g):
-        # the first gradient is taken by assignment and later ones are added
-        # out of place: an op may hand one array to several parents, so no
-        # gradient buffer is ever written through
-        self.grad = g if self.grad is None else self.grad + g
-
     def backward(self):
         if self.data.ndim != 0:
             raise ValueError("backward() needs a scalar output")
@@ -66,56 +67,47 @@ class Tensor:
             raise RuntimeError("backward() over a tape whose backward already ran")
         self.grad = np.ones_like(self.data)
         for node in order:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # the closure holds the op's saved arrays; a run tape drops them
-                node._backward = None
+            if node._backward is None or node.grad is None:
+                continue
+            grads = node._backward(node.grad)
+            # the closure holds the op's saved arrays; a run tape drops them
+            node._backward = None
+            if not isinstance(grads, tuple) or len(grads) != len(node._parents):
+                raise ValueError(f"a backward must return a tuple of "
+                                 f"{len(node._parents)} entries, one per parent")
+            for parent, g in zip(node._parents, grads):
+                if g is not None and np.shape(g) != parent.data.shape:
+                    raise ValueError(f"a backward returned a {np.shape(g)} gradient "
+                                     f"for a {parent.data.shape} parent")
+                # in parent order, the first gradient is taken by reference
+                # and later ones are added out of place: an op may hand one
+                # array to several parents, so no gradient is written through
+                if g is not None and parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            grads = g = None  # not held through the next op's backward
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         a, b = self, _coerce(other)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-
-        return _make(a.data + b.data, (a, b), backward)
+        return _make(a.data + b.data, (a, b), lambda g: (
+            _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return _make(-a.data, (a,), backward)
+        return _make(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         a, b = self, _coerce(other)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.data.shape))
-
-        return _make(a.data - b.data, (a, b), backward)
+        return _make(a.data - b.data, (a, b), lambda g: (
+            _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
     def __mul__(self, other):
         a, b = self, _coerce(other)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-        return _make(a.data * b.data, (a, b), backward)
+        return _make(a.data * b.data, (a, b), lambda g: (
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
     __rmul__ = __mul__
 
@@ -123,26 +115,15 @@ class Tensor:
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not part of the op set")
         scale = float(other)
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g / scale)
-
-        return _make(a.data / scale, (a,), backward)
+        return _make(self.data / scale, (self,), lambda g: (g / scale,))
 
     def __matmul__(self, other):
         a, b = self, _coerce(other)
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul is implemented for 2-D operands only")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-
-        return _make(a.data @ b.data, (a, b), backward)
+        return _make(a.data @ b.data, (a, b), lambda g: (
+            g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None))
 
     # -- reductions ---------------------------------------------------------
 
@@ -150,13 +131,9 @@ class Tensor:
         a = self
 
         def backward(g):
-            if not a.requires_grad:
-                return
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, a.data.shape).copy(),
 
         return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -203,53 +180,27 @@ def constant(x) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     out = expit(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (t,), backward)
+    return _make(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(t: Tensor) -> Tensor:
     out = np.tanh(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * (1.0 - out * out))
-
-    return _make(out, (t,), backward)
+    return _make(out, (t,), lambda g: (g * (1.0 - out * out),))
 
 
 def exp(t: Tensor) -> Tensor:
     out = np.exp(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * out)
-
-    return _make(out, (t,), backward)
+    return _make(out, (t,), lambda g: (g * out,))
 
 
 def softplus(t: Tensor) -> Tensor:
     # log(1 + e^x) via logaddexp so large |x| stays finite
-    out = np.logaddexp(0.0, t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * expit(t.data))
-
-    return _make(out, (t,), backward)
+    return _make(np.logaddexp(0.0, t.data), (t,), lambda g: (g * expit(t.data),))
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     mask = (t.data >= lo) & (t.data <= hi)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * mask)
-
-    return _make(np.clip(t.data, lo, hi), (t,), backward)
+    return _make(np.clip(t.data, lo, hi), (t,), lambda g: (g * mask,))
 
 
 # -- indexing and structure -------------------------------------------------
@@ -260,13 +211,12 @@ def gather(t: Tensor, index) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
 
     def backward(g):
-        if t.requires_grad:
-            # one-hot (rows x positions) product: each row's positions are
-            # summed in order from zero, as np.add.at would, but in one pass
-            k, width = index.size, int(np.prod(t.data.shape[1:]))
-            one_hot = sp.csr_matrix((np.ones(k), (index, np.arange(k))),
-                                    shape=(t.data.shape[0], k))
-            t._accumulate((one_hot @ g.reshape(k, width)).reshape(t.data.shape))
+        # one-hot (rows x positions) product: each row's positions are
+        # summed in order from zero, as np.add.at would, but in one pass
+        k, width = index.size, int(np.prod(t.data.shape[1:]))
+        one_hot = sp.csr_matrix((np.ones(k), (index, np.arange(k))),
+                                shape=(t.data.shape[0], k))
+        return (one_hot @ g.reshape(k, width)).reshape(t.data.shape),
 
     return _make(t.data[index], (t,), backward)
 
@@ -275,25 +225,16 @@ def scatter_sum(t: Tensor, index, size: int) -> Tensor:
     """out[k] = sum of t over positions where index == k; t must be 1-D."""
     index = np.asarray(index, dtype=np.int64)
     out = np.bincount(index, weights=t.data, minlength=size)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g[index])
-
-    return _make(out, (t,), backward)
+    return _make(out, (t,), lambda g: (g[index],))
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = list(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(np.take(g, np.arange(lo, hi), axis=axis))
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                 lambda g: tuple(np.take(g, np.arange(lo, hi), axis=axis)
+                                 for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
 def spmm(values: Tensor, rows, cols, shape, dense: Tensor) -> Tensor:
@@ -306,12 +247,6 @@ def spmm(values: Tensor, rows, cols, shape, dense: Tensor) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     mat = sp.csr_matrix((values.data, (rows, cols)), shape=shape)
-    out = mat @ dense.data
-
-    def backward(g):
-        if dense.requires_grad:
-            dense._accumulate(mat.T @ g)
-        if values.requires_grad:
-            values._accumulate(np.einsum("ed,ed->e", g[rows], dense.data[cols]))
-
-    return _make(out, (values, dense), backward)
+    return _make(mat @ dense.data, (values, dense), lambda g: (
+        np.einsum("ed,ed->e", g[rows], dense.data[cols]) if values.requires_grad else None,
+        mat.T @ g if dense.requires_grad else None))

@@ -99,29 +99,27 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
                 upper.append(g)
                 T = T + np.einsum("nd,nd->n", g, state) + np.einsum("nd,nd->n", Ag, lower)
             g = share + Ag
-        if embeddings.requires_grad:
-            embeddings._accumulate(g)
-        if rho.requires_grad:
-            g_degree = np.where(degrees >= DEGREE_FLOOR, -0.5 * T * dinv * dinv, 0.0)
-            M = layout.user_count
-            grads = [x[:M] for x in upper[::-1]]    # g_1 .. g_L
-            lowers = [x[:M] for x in states[:-1]]   # X_0 .. X_{L-1}
-            Z1 = np.concatenate(grads + lowers, axis=1)
-            Z2 = np.concatenate(lowers + grads, axis=1)
-            a, b, n = layout.social_a, layout.social_b, layout.social_count
-            pair = np.empty(n)
-            block = min(n, graph.SDDMM_BLOCK)
-            z1, z2 = np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))
-            # `Dataset` range-checks every social pair, so the gathers skip
-            # numpy's bounds check (mode="clip"), which would first copy into
-            # a temporary
-            for lo in range(0, n, graph.SDDMM_BLOCK):
-                hi = min(lo + graph.SDDMM_BLOCK, n)
-                x1, x2 = z1[:hi - lo], z2[:hi - lo]
-                np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
-                np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
-                np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
-            rho._accumulate(pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b])
+        if not rho.requires_grad:
+            return None, g
+        g_degree = np.where(degrees >= DEGREE_FLOOR, -0.5 * T * dinv * dinv, 0.0)
+        M = layout.user_count
+        grads = [x[:M] for x in upper[::-1]]    # g_1 .. g_L
+        lowers = [x[:M] for x in states[:-1]]   # X_0 .. X_{L-1}
+        Z1 = np.concatenate(grads + lowers, axis=1)
+        Z2 = np.concatenate(lowers + grads, axis=1)
+        a, b, n = layout.social_a, layout.social_b, layout.social_count
+        pair = np.empty(n)
+        block = min(n, graph.SDDMM_BLOCK)
+        z1, z2 = np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))
+        # `Dataset` range-checks every social pair, so the gathers skip
+        # numpy's bounds check (mode="clip"), which would first copy into a temporary
+        for lo in range(0, n, graph.SDDMM_BLOCK):
+            hi = min(lo + graph.SDDMM_BLOCK, n)
+            x1, x2 = z1[:hi - lo], z2[:hi - lo]
+            np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
+            np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
+            np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
+        return pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b], g
 
     return ad._make(readout, (rho, embeddings), backward)
 

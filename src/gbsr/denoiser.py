@@ -199,22 +199,14 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
             gWc += pWc
             half_a[users_a] += qa
             half_b[users_b] += qb
-        if W2.requires_grad:
-            W2._accumulate(gW2)
-        if b2.requires_grad:
-            b2._accumulate(s.sum(keepdims=True))
         ga, gb = graph.parallel_map(lambda one_hot: one_hot @ H, layout.pair_sums())
         ga *= w2
         gb *= w2
-        if b1.requires_grad:
-            # every pair's gz is in exactly one first user's sum
-            b1._accumulate(ga.sum(axis=0))
-        if W1.requires_grad:
-            W1._accumulate(np.concatenate([users.T @ ga, users.T @ gb, gWc * w2]))
-        if embeddings.requires_grad:
-            gE = np.zeros_like(E)
-            gE[:M] = ga @ Wa.T + gb @ Wb.T + half_a + half_b
-            embeddings._accumulate(gE)
+        gE = np.zeros_like(E)
+        gE[:M] = ga @ Wa.T + gb @ Wb.T + half_a + half_b
+        gW1 = np.concatenate([users.T @ ga, users.T @ gb, gWc * w2])
+        # every pair's gz is in exactly one first user's sum
+        return gE, gW1, ga.sum(axis=0), gW2, s.sum(keepdims=True)
 
     return ad._make(out, (embeddings, W1, b1, W2, b2), backward)
 

@@ -120,28 +120,31 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
         lambda task: _side(*task, users, sigma_sq, normalize),
         [(T, np.empty((n, n))) for T in (X, Y)])
     value = _dependence(Kxc, Kyc)
-    # each differentiable side needs its own saved arrays and the other
-    # side's centered kernel
-    routes = [(T, saved, other) for T, saved, other in
-              ((X, x_saved, Kyc), (Y, y_saved, Kxc)) if saved is not None]
+
+    def route(T, saved, other, G, scale):
+        # a side's gradient needs its saved arrays and the other's kernel
+        if saved is None:
+            return None
+        Z, r, Zn, Kc, c = saved
+        np.subtract(Kc, c[:, None], out=G)
+        G -= c
+        G *= other
+        np.fill_diagonal(G, 0.0)
+        # G is symmetric up to rounding, so [Xn | 1]^T G gives the
+        # transposed [G Xn | G 1]; this operand order is the faster GEMM
+        M = np.vstack([Zn.T, np.ones(n)]) @ G
+        gZ = scale * (M[-1][:, None] * Zn - M[:-1].T)
+        del M  # freed before the full-size gradient is made
+        if r is not None:
+            gZ = r * gZ - Z * (r ** 3 * np.einsum("nd,nd->n", gZ, Z)[:, None])
+        full = np.zeros_like(T.data)
+        full[users] = gZ
+        return full
 
     def backward(g):
         scale = -4.0 * float(g) / (float((n - 1) ** 2) * 2.0 * sigma_sq)
         G = np.empty((n, n))
-        for T, (Z, r, Zn, Kc, c), other in routes:
-            np.subtract(Kc, c[:, None], out=G)
-            G -= c
-            G *= other
-            np.fill_diagonal(G, 0.0)
-            # G is symmetric up to rounding, so [Xn | 1]^T G gives the
-            # transposed [G Xn | G 1]; this operand order is the faster GEMM
-            M = np.vstack([Zn.T, np.ones(n)]) @ G
-            gZ = scale * (M[-1][:, None] * Zn - M[:-1].T)
-            if r is not None:
-                gZ = r * gZ - Z * (r ** 3 * np.einsum("nd,nd->n", gZ, Z)[:, None])
-            full = np.zeros_like(T.data)
-            full[users] = gZ
-            T._accumulate(full)
+        return route(X, x_saved, Kyc, G, scale), route(Y, y_saved, Kxc, G, scale)
 
     return ad._make(value, (X, Y), backward)
 

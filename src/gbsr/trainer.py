@@ -25,7 +25,7 @@ from .backbone import EmbeddingTable, MAX_LAYERS
 from .data import Dataset
 from .denoiser import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, DenoiserParams, denoise
 from .errors import CheckpointError, ConfigError, NumericError
-from .graph import build_adjacency, layout_for
+from .graph import EdgeLayout, build_adjacency, layout_for
 from .ioutil import atomic_write_bytes
 
 INIT_SCALE = 0.01  # std of the Gaussian embedding and MLP init
@@ -149,6 +149,21 @@ def init(config: TrainConfig, dataset: Dataset, rng: np.random.Generator) -> Tra
     return TrainState(table, den, Adam(config.learning_rate))
 
 
+def train_step(state: TrainState, layout: EdgeLayout, batch, deltas,
+               config: TrainConfig) -> objective.LossBreakdown:
+    """One update: the objective's gradients on one batch and relaxation
+    draw, then an Adam step on the state in place; returns the batch's loss
+    breakdown."""
+    breakdown, grads = objective.gradients(
+        state.embeddings.matrix, state.denoiser, layout, batch, deltas,
+        layers=config.layers, beta=config.beta,
+        reg_lambda=config.reg_lambda, sigma_sq=config.sigma_sq,
+        detach_original=config.detach_original,
+        kernel_normalize=config.kernel_normalize)
+    state.adam.step(state.parameters(), grads)
+    return breakdown
+
+
 def train_epoch(state: TrainState, dataset: Dataset, config: TrainConfig,
                 rng: np.random.Generator) -> Tuple[TrainState, objective.LossBreakdown]:
     """One pass of ceil(|train| / batch_size) sampled batches; returns the
@@ -160,15 +175,9 @@ def train_epoch(state: TrainState, dataset: Dataset, config: TrainConfig,
         batch = data_mod.sample_batch_arrays(dataset, config.batch_size, rng)
         deltas = rng.uniform(size=layout.social_count)
         try:
-            breakdown, grads = objective.gradients(
-                state.embeddings.matrix, state.denoiser, layout, batch, deltas,
-                layers=config.layers, beta=config.beta,
-                reg_lambda=config.reg_lambda, sigma_sq=config.sigma_sq,
-                detach_original=config.detach_original,
-                kernel_normalize=config.kernel_normalize)
+            breakdown = train_step(state, layout, batch, deltas, config)
         except NumericError as err:
             raise NumericError(f"epoch {state.epoch + 1}, batch {b}: {err}") from err
-        state.adam.step(state.parameters(), grads)
         sums += (breakdown.rec_loss, breakdown.ib_loss,
                  breakdown.reg_loss, breakdown.total)
     state.epoch += 1

@@ -121,11 +121,11 @@ class TestStructure:
         g = rng.standard_normal((2048, 16)) * 10.0 ** rng.integers(-8, 8, size=(2048, 1))
         t = ad.Tensor(rng.standard_normal((300, 16)), requires_grad=True)
         out = ad.gather(t, index)
-        out._backward(g)
+        (got,) = out._backward(g)
         want = np.zeros_like(t.data)
         np.add.at(want, index, g)
         assert np.bincount(index).max() > 10
-        np.testing.assert_array_equal(t.grad, want)
+        np.testing.assert_array_equal(got, want)
 
     def test_scatter_sum(self):
         idx = np.array([0, 2, 2, 1, 0])
@@ -236,6 +236,31 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError):
             (y + t).sum().backward()
         np.testing.assert_array_equal(t.grad, [6.0])
+
+    # a backward returns one gradient per parent, in a tuple; the tape
+    # refuses anything else rather than accumulate a wrong gradient
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), ()])
+    def test_backward_returning_a_bare_array_raises(self, shape):
+        # `return g * 2.0` where `return g * 2.0,` was meant; a (1,) array
+        # has one entry and a 0-d one has no length, so a count check alone
+        # would pass or fail with another error
+        t = ad.Tensor(np.ones(shape), requires_grad=True)
+        out = ad._make(t.data * 2.0, (t,), lambda g: g * 2.0)
+        with pytest.raises(ValueError):
+            out.sum().backward()
+
+    def test_backward_returning_too_few_gradients_raises(self):
+        a, b = (ad.Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        out = ad._make(a.data + b.data, (a, b), lambda g: (g,))
+        with pytest.raises(ValueError):
+            out.sum().backward()
+
+    def test_backward_returning_a_wrong_shape_raises(self):
+        t = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        out = ad._make(t.data.sum(axis=0), (t,), lambda g: (g,))
+        with pytest.raises(ValueError):
+            out.sum().backward()
 
     def test_ndarray_left_op_defers_to_tensor(self):
         t = ad.Tensor(np.ones(3), requires_grad=True)

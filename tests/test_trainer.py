@@ -13,7 +13,7 @@ from gbsr.errors import CheckpointError, ConfigError, DataError, NumericError
 from gbsr.trainer import (CHECKPOINT_MAGIC, INIT_SCALE, Adam, TrainConfig,
                           TrainState, config_as_dict, config_from_dict,
                           evaluate_state, fit, init, load_checkpoint,
-                          save_checkpoint, train_epoch)
+                          save_checkpoint, train_epoch, train_step)
 
 
 # an infinite temperature or bandwidth would otherwise train without complaint
@@ -174,6 +174,30 @@ class TestTrainEpoch:
         for k in a[0].parameters():
             np.testing.assert_array_equal(a[0].parameters()[k],
                                           b[0].parameters()[k])
+
+    def test_epoch_is_its_steps_on_its_own_draws(self, small_synthetic):
+        ds, _ = small_synthetic
+        cfg = quick_config()
+        layout = graph.layout_for(ds)
+        n_batches = -(-ds.train_pairs.shape[0] // cfg.batch_size)
+        assert n_batches > 1
+        rng = np.random.default_rng(cfg.seed)
+        epoch_state, epoch_losses = train_epoch(init(cfg, ds, rng), ds, cfg, rng)
+        # the same generator order: init, then per batch the batch and its draw
+        rng = np.random.default_rng(cfg.seed)
+        state = init(cfg, ds, rng)
+        sums = np.zeros(4)
+        for _ in range(n_batches):
+            batch = sample_batch_arrays(ds, cfg.batch_size, rng)
+            deltas = rng.uniform(size=layout.social_count)
+            losses = train_step(state, layout, batch, deltas, cfg)
+            sums += (losses.rec_loss, losses.ib_loss, losses.reg_loss, losses.total)
+        assert objective.LossBreakdown(*(sums / n_batches).tolist()) == epoch_losses
+        assert state.adam.step_count == epoch_state.adam.step_count == n_batches
+        for name, value in epoch_state.parameters().items():
+            np.testing.assert_array_equal(state.parameters()[name], value, err_msg=name)
+            np.testing.assert_array_equal(state.adam.m[name], epoch_state.adam.m[name])
+            np.testing.assert_array_equal(state.adam.v[name], epoch_state.adam.v[name])
 
     @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
     def test_numeric_failure_names_epoch_and_batch(self, small_synthetic):
