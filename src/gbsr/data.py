@@ -12,11 +12,19 @@ to the split; a Dataset stores them sorted and read-only, and its per-user
 item arrays are views into that storage.  The reader parses a file in one
 np.loadtxt call when it can, and line by line with Python's int()
 otherwise; only the line loop reports a ParseError, so both give the same
-rows and the same errors.
+rows and the same errors.  Repeated interaction lines are dropped after the
+re-indexing, which moves no id: a repeat's ids appeared on its first copy.
+
+A Dataset orders and deduplicates each pair array by one stable sort of the
+int64 key a * width + b (width item_count for interactions, user_count for
+social pairs), which is the rows' (a, b) order.  So that every such key fits
+int64, user_count + item_count may not exceed MAX_NODES = isqrt(2 ** 63);
+larger counts raise DataError before anything sized by them is allocated.
 
 The train/test split is per user: each user's interactions are shuffled and
 the first max(1, floor(ratio * n)) go to train, the rest to test.  A user with
-a single interaction therefore always keeps it in train.
+a single interaction therefore always keeps it in train, and draws nothing
+from the generator.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ NEGATIVE_RETRY_BOUND = 100
 
 # guards float fuzz in floor(ratio * n): 0.7 * 10 must count as 7, not 6
 _FLOOR_EPS = 1e-9
+
+# the most users + items a Dataset holds: every pair key a * width + b with
+# a, b below the node count is then below MAX_NODES ** 2 <= 2 ** 63
+MAX_NODES = math.isqrt(2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -95,36 +107,21 @@ class Dataset:
                  social: Iterable[Tuple[int, int]]):
         self.user_count = int(user_count)
         self.item_count = int(item_count)
-        self.train_pairs = _as_pair_array(train)
-        self.test_pairs = _as_pair_array(test)
-        self.social_pairs = _as_pair_array(social)
-        self._validate()
+        if self.node_count > MAX_NODES:
+            raise DataError(f"user_count {self.user_count} + item_count {self.item_count} "
+                            f"exceeds {MAX_NODES} nodes: pair keys would overflow int64")
+        train, test, social = (_as_pair_array(p) for p in (train, test, social))
+        _validate(self.user_count, self.item_count, train, test, social)
         # membership key u * item_count + i; sorted because the pairs are
-        self._train_keys = self.train_pairs[:, 0] * self.item_count + self.train_pairs[:, 1]
+        self.train_pairs, self._train_keys = _canonical(train, self.item_count)
+        self.test_pairs, test_keys = _canonical(test, self.item_count)
+        self.social_pairs, _ = _canonical(social, self.user_count)
+        if np.intersect1d(self._train_keys, test_keys, assume_unique=True).size:
+            raise DataError("train and test interactions overlap")
         # user u's items are rows [starts[u], starts[u + 1]) of the pair array
         users = np.arange(self.user_count + 1)
         self._train_starts = np.searchsorted(self.train_pairs[:, 0], users)
         self._test_starts = np.searchsorted(self.test_pairs[:, 0], users)
-
-    def _validate(self) -> None:
-        for name, pairs, hi in (("train", self.train_pairs, self.item_count),
-                                ("test", self.test_pairs, self.item_count)):
-            if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 0].max() >= self.user_count):
-                raise DataError(f"{name} interactions reference users outside [0, {self.user_count})")
-            if pairs.size and (pairs[:, 1].min() < 0 or pairs[:, 1].max() >= hi):
-                raise DataError(f"{name} interactions reference items outside [0, {hi})")
-        sp = self.social_pairs
-        if sp.size:
-            if sp.min() < 0 or sp.max() >= self.user_count:
-                raise DataError(f"social pairs reference users outside [0, {self.user_count})")
-            if np.any(sp[:, 0] >= sp[:, 1]):
-                raise DataError("social pairs must satisfy a < b (no self-loops)")
-        if self.train_pairs.size and self.test_pairs.size:
-            overlap = np.intersect1d(
-                self.train_pairs[:, 0] * self.item_count + self.train_pairs[:, 1],
-                self.test_pairs[:, 0] * self.item_count + self.test_pairs[:, 1])
-            if overlap.size:
-                raise DataError("train and test interactions overlap")
 
     # -- views ---------------------------------------------------------------
 
@@ -148,24 +145,52 @@ def _as_pair_array(pairs) -> np.ndarray:
     arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                      dtype=np.int64)
     if arr.size == 0:
-        arr = np.empty((0, 2), dtype=np.int64)
-    elif arr.ndim != 2 or arr.shape[1] != 2:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise DataError("edge collection must be a sequence of (int, int) pairs")
-    else:
-        arr = arr[_distinct_rows(arr)]
-    arr.flags.writeable = False
     return arr
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Index of each distinct row's first appearance in an (n, 2) array, in
-    lexicographic order of the rows."""
-    # lexsort is stable, so each run of equal rows starts at its first index
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    ordered = rows[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order[first]
+def _validate(user_count: int, item_count: int, train: np.ndarray,
+              test: np.ndarray, social: np.ndarray) -> None:
+    """Range checks of the raw pair arrays; neither order nor repeats
+    change a verdict."""
+    for name, pairs in (("train", train), ("test", test)):
+        if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 0].max() >= user_count):
+            raise DataError(f"{name} interactions reference users outside [0, {user_count})")
+        if pairs.size and (pairs[:, 1].min() < 0 or pairs[:, 1].max() >= item_count):
+            raise DataError(f"{name} interactions reference items outside [0, {item_count})")
+    if social.size:
+        if social.min() < 0 or social.max() >= user_count:
+            raise DataError(f"social pairs reference users outside [0, {user_count})")
+        if np.any(social[:, 0] >= social[:, 1]):
+            raise DataError("social pairs must satisfy a < b (no self-loops)")
+
+
+def _canonical(pairs: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of an in-range pair array in (a, b) order, read-only,
+    and their keys a * width + b)."""
+    keys = pairs[:, 0] * width + pairs[:, 1]
+    first = _distinct(keys)
+    pairs = pairs[first]
+    pairs.flags.writeable = False
+    return pairs, keys[first]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's first appearance, in increasing key
+    order."""
+    # a stable sort, so each run of equal keys starts at its first index
+    order = np.argsort(keys, kind="stable")
+    return order[_run_starts(keys[order])]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where an entry of a sorted 1-D array differs from the one
+    before it."""
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return starts
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -179,16 +204,14 @@ _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1
 # them np.loadtxt rejects what int() rejects or what overflows int64, except
 # that some numpy releases parse an overflowing field as a float and only
 # warn; _parse_vectorized turns that warning into a fall-back as well
-_VECTOR_BYTES = np.zeros(256, dtype=bool)
-_VECTOR_BYTES[np.frombuffer(b"0123456789+- \t\r\n", dtype=np.uint8)] = True
+_VECTOR_BYTES = b"0123456789+- \t\r\n"
 
 
 def _parse_vectorized(text: str, lines: List[str]):
     """The non-blank lines as (n, 2) int64 rows, or None when the line loop
     must decide: bytes outside the vectorized set, no rows, a line
     np.loadtxt rejects, or a row count other than the non-blank lines'."""
-    if not (text.isascii() and _VECTOR_BYTES[np.frombuffer(text.encode("ascii"),
-                                                            dtype=np.uint8)].all()):
+    if not text.isascii() or text.encode("ascii").translate(None, _VECTOR_BYTES):
         return None
     count = sum(map(bool, map(str.strip, lines)))
     if count == 0:
@@ -247,25 +270,38 @@ def _read_edge_file(path, allow_empty: bool = False) -> np.ndarray:
 def _first_appearance_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense ids numbering the distinct values of `raw` in order of first
     appearance, and how many there are."""
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(raw)
+    new_value = _run_starts(raw[order])
+    # the sort is unstable, so a value's first index is its run's minimum
+    first = np.minimum.reduceat(order, np.flatnonzero(new_value))
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse], first.size
+    ids = np.empty(raw.size, dtype=np.int64)
+    ids[order] = rank[np.cumsum(new_value) - 1]
+    return ids, first.size
 
 
 def _split_per_user(pairs: np.ndarray, ratio: float,
                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """(train, test) rows of a (user, item) pair array.
 
-    Each user's items keep their order in `pairs`; users with items draw one
-    permutation each, in increasing user order.
+    Each user's items keep their order in `pairs`; users with two or more
+    items draw one shuffle each, in increasing user order, the same draws
+    as rng.permutation of their item count.
     """
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    _, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    starts = np.flatnonzero(_run_starts(pairs[:, 0]))
+    counts = np.diff(starts, append=pairs.shape[0])
+    keep = np.minimum(np.maximum(1, np.floor(ratio * counts + _FLOOR_EPS)), counts)
+    # user u owns slots starts[u] .. starts[u] + counts[u] - 1; its shuffle
+    # permutes the row indices held there, and the rows in its first
+    # keep[u] slots go to train
+    slots = np.arange(pairs.shape[0])
+    for lo, n in zip(starts[counts > 1].tolist(), counts[counts > 1].tolist()):
+        rng.shuffle(slots[lo:lo + n])
+    rank = np.arange(pairs.shape[0]) - np.repeat(starts, counts)
     in_train = np.zeros(pairs.shape[0], dtype=bool)
-    for lo, n in zip(starts.tolist(), counts.tolist()):
-        k = min(max(1, math.floor(ratio * n + _FLOOR_EPS)), n)
-        in_train[lo + rng.permutation(n)[:k]] = True
+    in_train[slots[rank < np.repeat(keep, counts)]] = True
     return pairs[in_train], pairs[~in_train]
 
 
@@ -279,9 +315,6 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     if not (0.0 < split_ratio <= 1.0):
         raise DataError(f"split_ratio must lie in (0, 1], got {split_ratio}")
     inter_raw = _read_edge_file(interactions_path)
-    # a repeated interaction would change its user's split; `Dataset`
-    # collapses repeated social pairs once they are oriented
-    inter_raw = inter_raw[np.sort(_distinct_rows(inter_raw))]
     # an empty social file is the social-free graph
     social_raw = _read_edge_file(social_path, allow_empty=True)
 
@@ -289,10 +322,15 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     user_ids, user_count = _first_appearance_ids(
         np.concatenate([inter_raw[:, 0], social_raw.ravel()]))
     item_ids, item_count = _first_appearance_ids(inter_raw[:, 1])
+    inter = np.stack([user_ids[:n_inter], item_ids], axis=1)
+    # a repeated interaction would change its user's split.  A repeated
+    # line's ids appeared on its first copy, so dropping it after the
+    # re-indexing moves no id; `Dataset` collapses repeated social pairs
+    # once they are oriented
+    inter = inter[np.sort(_distinct(inter[:, 0] * item_count + inter[:, 1]))]
 
     rng = np.random.default_rng(seed)
-    train, test = _split_per_user(np.stack([user_ids[:n_inter], item_ids], axis=1),
-                                  split_ratio, rng)
+    train, test = _split_per_user(inter, split_ratio, rng)
 
     social = np.sort(user_ids[n_inter:].reshape(-1, 2), axis=1)
     # self-loops carry no information in an undirected graph

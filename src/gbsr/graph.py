@@ -167,7 +167,8 @@ class EdgeLayout:
         so products match that construction bit for bit; the index arrays are
         the ones scipy picked for the template, so no build converts them."""
         if self._csr_structure is None:
-            order = np.lexsort((self.cols, self.rows))
+            # one int64 key per entry; a Dataset's node count keeps it exact
+            order = np.argsort(self.rows * self.node_count + self.cols, kind="stable")
             indptr = np.zeros(self.node_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.rows, minlength=self.node_count), out=indptr[1:])
             template = sp.csr_matrix((np.zeros(order.size), self.cols[order], indptr),

@@ -1,11 +1,12 @@
 """Ingestion, splitting, sampling, and synthetic-generation contracts."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gbsr import data
+from gbsr import data, trainer
 from gbsr.data import (NEGATIVE_RETRY_BOUND, Dataset, SyntheticSpec,
                        generate_synthetic, interactions_text, load_dataset,
                        noise_labels_text, sample_batch_arrays, social_text)
@@ -330,6 +331,167 @@ class TestIngestionPaths:
         np.testing.assert_array_equal(got.social_pairs, [(0, 1), (2, 3)])
 
 
+# -- the lexsort / np.unique / rng.permutation ingestion, kept as an oracle --
+
+
+def lexsort_distinct_rows(rows):
+    """Index of each distinct row's first appearance in an (n, 2) array, in
+    lexicographic order of the rows."""
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    ordered = rows[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[first]
+
+
+def lexsort_canonical(pairs):
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return rows[lexsort_distinct_rows(rows)]
+
+
+def unique_first_appearance_ids(raw):
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], first.size
+
+
+def permutation_split(pairs, ratio, rng):
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    _, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    in_train = np.zeros(pairs.shape[0], dtype=bool)
+    for lo, n in zip(starts.tolist(), counts.tolist()):
+        k = min(max(1, math.floor(ratio * n + 1e-9)), n)
+        in_train[lo + rng.permutation(n)[:k]] = True
+    return pairs[in_train], pairs[~in_train]
+
+
+def oracle_load(inter_path, social_path, ratio, seed):
+    """(user_count, item_count, train, test, social, generator state after
+    the split): the raw rows deduplicated before the re-indexing."""
+    inter_raw = data._read_edge_file(inter_path)
+    inter_raw = inter_raw[np.sort(lexsort_distinct_rows(inter_raw))]
+    social_raw = data._read_edge_file(social_path, allow_empty=True)
+    n = inter_raw.shape[0]
+    user_ids, users = unique_first_appearance_ids(
+        np.concatenate([inter_raw[:, 0], social_raw.ravel()]))
+    item_ids, items = unique_first_appearance_ids(inter_raw[:, 1])
+    rng = np.random.default_rng(seed)
+    train, test = permutation_split(np.stack([user_ids[:n], item_ids], axis=1), ratio, rng)
+    social = np.sort(user_ids[n:].reshape(-1, 2), axis=1)
+    social = social[social[:, 0] != social[:, 1]]
+    return (users, items, lexsort_canonical(train), lexsort_canonical(test),
+            lexsort_canonical(social), rng.bit_generator.state)
+
+
+def messy_edge_files(tmp_path, seed):
+    """Interaction and social files with negative and int64-extreme ids,
+    repeated lines, one-item users, reversed and self-loop social lines and
+    blank lines."""
+    r = np.random.default_rng([seed, 22])
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+
+    def draw(size):
+        return r.integers(lo, hi, size=size, endpoint=True)
+
+    users = np.concatenate([[lo, hi, lo + 1, -1, 0], draw(40)])
+    items = np.concatenate([[hi, lo, 0, -5], draw(30)])
+    inter = np.stack([r.choice(users, 300), r.choice(items, 300)], axis=1)
+    one_item = np.stack([draw(12), r.choice(items, 12)], axis=1)
+    inter = np.concatenate([inter, one_item])
+    inter = np.concatenate([inter, inter[r.integers(0, len(inter), 50)]])
+    social = r.choice(np.concatenate([users, draw(15)]), size=(120, 2))
+    social = np.concatenate([social, social[:25, ::-1], social[:10],
+                             np.repeat(users[:4, None], 2, axis=1)])
+    paths = []
+    for name, rows in (("i.tsv", inter), ("s.tsv", social)):
+        r.shuffle(rows)
+        lines = [f"{a}\t{b}\n" for a, b in rows.tolist()]
+        for at in sorted(r.integers(0, len(lines) + 1, 6).tolist(), reverse=True):
+            lines.insert(at, "\n")
+        (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+        paths.append(tmp_path / name)
+    return paths
+
+
+ORACLE_SPECS = [SyntheticSpec(2, 12, 10, 0.3, 0.3, 0.5, seed=0),
+                SyntheticSpec(3, 40, 25, 0.08, 0.2, 0.3, seed=4),
+                SyntheticSpec(4, 150, 120, 0.02, 0.05, 1.0, seed=7)]
+
+
+class TestIngestionOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 0.8, 1.0])
+    def test_load_dataset_matches_oracle(self, tmp_path, monkeypatch, ratio, seed):
+        inter, social = messy_edge_files(tmp_path, seed)
+        split, states = data._split_per_user, []
+
+        def recording_split(pairs, ratio, rng):
+            out = split(pairs, ratio, rng)
+            states.append(rng.bit_generator.state)
+            return out
+
+        monkeypatch.setattr(data, "_split_per_user", recording_split)
+        ds = load_dataset(inter, social, split_ratio=ratio, seed=seed)
+        users, items, train, test, soc, state = oracle_load(inter, social, ratio, seed)
+        assert (ds.user_count, ds.item_count) == (users, items)
+        for got, want in ((ds.train_pairs, train), (ds.test_pairs, test), (ds.social_pairs, soc)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ds._train_keys, train[:, 0] * items + train[:, 1])
+        assert states == [state]
+        # the files hold one-item users and users that draw
+        counts = np.bincount(np.concatenate([train, test])[:, 0])
+        assert (counts == 1).any() and (counts > 2).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dataset_matches_lexsort_canonical(self, seed):
+        r = np.random.default_rng(seed)
+        users, items = 30, 20
+        both = np.unique(np.stack([r.integers(0, users, 200), r.integers(0, items, 200)],
+                                  axis=1), axis=0)
+        r.shuffle(both)
+        train, test = both[:150], both[150:]
+        train = np.concatenate([train, train[r.integers(0, 150, 40)]])
+        social = np.sort(r.integers(0, users, size=(150, 2)), axis=1)
+        social = social[social[:, 0] != social[:, 1]]
+        ds = Dataset(users, items, train, test, social)
+        for got, raw in ((ds.train_pairs, train), (ds.test_pairs, test),
+                         (ds.social_pairs, social)):
+            np.testing.assert_array_equal(got, lexsort_canonical(raw))
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["small", "mid", "sparse"])
+    def test_generate_synthetic_matches_oracle(self, monkeypatch, spec):
+        ds, labels = generate_synthetic(spec)
+        made, real = [], data.Dataset
+
+        def recording_dataset(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(data, "_split_per_user", permutation_split)
+        monkeypatch.setattr(data, "Dataset", recording_dataset)
+        _, want_labels = generate_synthetic(spec)
+        (users, items, train, test, social), = made
+        assert (ds.user_count, ds.item_count) == (users, items)
+        for got, raw in ((ds.train_pairs, train), (ds.test_pairs, test),
+                         (ds.social_pairs, social)):
+            np.testing.assert_array_equal(got, lexsort_canonical(raw))
+        np.testing.assert_array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("validation_ratio", [0.2, 0.5])
+    def test_carve_validation_matches_oracle(self, monkeypatch, validation_ratio):
+        ds, _ = generate_synthetic(ORACLE_SPECS[1])
+        config = trainer.TrainConfig(validation_ratio=validation_ratio, seed=3)
+        got = trainer._carve_validation(ds, config)
+        monkeypatch.setattr(data, "_split_per_user", permutation_split)
+        want = trainer._carve_validation(ds, config)
+        assert got.test_pairs.size
+        for name in ("train_pairs", "test_pairs", "social_pairs"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 class TestSplit:
     def _make(self, tmp_path, n_items, ratio, seed=0):
         inter = tmp_path / "i.tsv"
@@ -388,6 +550,19 @@ class TestDatasetValidation:
     def test_social_self_loop_rejected(self):
         with pytest.raises(DataError):
             Dataset(2, 2, [(0, 0)], [], [(1, 1)])
+
+    def test_counts_beyond_int64_keys_rejected(self):
+        # (2**32 + 1) * 2**32 + 0 wraps to 1 * 2**32 + 0 in int64, which
+        # once read as a train/test overlap; the counts are refused before
+        # anything sized by them is allocated
+        with pytest.raises(DataError, match=r"user_count 4294967298 \+ item_count 4294967296 "
+                                            r"exceeds 3037000499 nodes"):
+            Dataset(2 ** 32 + 2, 2 ** 32, [(2 ** 32 + 1, 0)], [(1, 0)], [])
+        assert data.MAX_NODES ** 2 <= 2 ** 63 < (data.MAX_NODES + 1) ** 2
+        with pytest.raises(DataError, match=f"exceeds {data.MAX_NODES} nodes"):
+            Dataset(1, data.MAX_NODES, [(0, 0)], [], [])
+        ds = Dataset(1, data.MAX_NODES - 1, [(0, data.MAX_NODES - 2), (0, 0)], [], [])
+        np.testing.assert_array_equal(ds._train_keys, [0, data.MAX_NODES - 2])
 
     def test_storage_is_read_only(self, tiny_dataset):
         for view in (tiny_dataset.train_pairs, tiny_dataset.test_pairs,
