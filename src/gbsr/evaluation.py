@@ -7,11 +7,18 @@ the list; IDCG stacks the user's test items at the top, truncated at N.
 
 Users are ranked in blocks holding at most SCORE_BLOCK_BYTES of scores
 (LightGCN's full-ranking protocol): one `U_blk @ I.T` product, train items
-masked to -inf, one partition for each user's k-th best score, one
-`flatnonzero` over every item scoring at least that, and one stable `lexsort`
-of those candidates by (row, -score), which keeps `flatnonzero`'s ascending
-item order among equal scores.  `rank_user` is the one-user block.
-Recall and NDCG come from a (users x N) hit matrix.
+masked to -inf, then per chunk of RANK_CHUNK_ROWS rows one partition of a
+copy for each user's k-th best score and one `flatnonzero` over every item
+scoring at least that, and one stable `lexsort` of the block's candidates by
+(row, -score), which keeps `flatnonzero`'s ascending item order among equal
+scores.  `rank_user` is the one-user block.  Recall and NDCG come from a
+(users x N) hit matrix.
+
+The blocks are ranked on `graph`'s worker pool (`graph.ordered_map`), and
+the calling thread fills the hit matrix in block order.  It also makes the
+block buffers, one slot per worker, and block j works in slot j % slots.
+The block size does not depend on the worker count, so neither does any
+product or result.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from . import graph
 from .backbone import NodeRepresentations
 from .data import Dataset
 from .errors import DataError
@@ -29,6 +37,9 @@ from .errors import DataError
 # bytes of float64 scores in one block of users; bounds the (users, items)
 # buffers of a ranking pass whatever the user count
 SCORE_BLOCK_BYTES = 4 << 20
+# rows of a block partitioned and thresholded at a time; a chunk's copy for
+# the partition and its boolean mask stay small next to the block
+RANK_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -56,25 +67,42 @@ def _check_readout(reps: NodeRepresentations, dataset: Dataset) -> None:
             f"dataset has {dataset.user_count} users + {dataset.item_count} items")
 
 
+def _buffers(rows: int, items: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(scores, chunk) buffers for blocks of at most `rows` users."""
+    return np.empty((rows, items)), np.empty((min(rows, RANK_CHUNK_ROWS), items))
+
+
 def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
-                  cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  cutoff: int, scores: np.ndarray,
+                  chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-`cutoff` lists of users [lo, hi) as flat (row, position, item)
-    arrays, rows ascending and each list best first."""
+    arrays, rows ascending and each list best first.  The block's scores
+    fill the first hi - lo rows of the `scores` buffer and `chunk` holds a
+    chunk's partition (`_buffers`); the arrays returned are new, so the
+    buffers are free for another block once this one returns."""
     n = dataset.item_count
     k = min(cutoff, n)
     if k == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty, empty
-    scores = readout[lo:hi] @ readout[dataset.user_count:].T
+    scores = scores[:hi - lo]
+    np.matmul(readout[lo:hi], readout[dataset.user_count:].T, out=scores)
     s, e = np.searchsorted(dataset.train_pairs[:, 0], (lo, hi))
     train_rows = dataset.train_pairs[s:e, 0] - lo
     scores[train_rows, dataset.train_pairs[s:e, 1]] = -np.inf
     # every item scoring at least the k-th best, exact ties at the boundary
-    # included, as flat indices in ascending (row, item) order; the stable
-    # lexsort keeps that order among equal (row, score), so ties break
-    # toward the smaller item id
-    kth = np.partition(scores, n - k, axis=1)[:, n - k]
-    flat = np.flatnonzero(scores >= kth[:, None])
+    # included, as flat indices in ascending (row, item) order; the k-th
+    # best is an order statistic, so partitioning a chunk's copy finds the
+    # same value as partitioning the block.  The stable lexsort keeps that
+    # order among equal (row, score), so ties break toward the smaller item id
+    flat = []
+    for r0 in range(0, hi - lo, RANK_CHUNK_ROWS):
+        chunk_scores = scores[r0:r0 + RANK_CHUNK_ROWS]
+        part = chunk[:chunk_scores.shape[0]]
+        np.copyto(part, chunk_scores)
+        part.partition(n - k, axis=1)
+        flat.append(np.flatnonzero(chunk_scores >= part[:, n - k, None]) + r0 * n)
+    flat = np.concatenate(flat)
     rows, items = np.divmod(flat, n)
     order = np.lexsort((-scores.ravel()[flat], rows))
     rows, items = rows[order], items[order]
@@ -93,7 +121,8 @@ def rank_user(reps: NodeRepresentations, dataset: Dataset, user: int,
     _check_readout(reps, dataset)
     if not (0 <= user < dataset.user_count):
         raise DataError(f"user id {user} outside [0, {dataset.user_count})")
-    return _ranked_block(reps.readout, dataset, user, user + 1, cutoff)[2]
+    return _ranked_block(reps.readout, dataset, user, user + 1, cutoff,
+                         *_buffers(1, dataset.item_count))[2]
 
 
 def require_test_pairs(dataset: Dataset) -> None:
@@ -114,9 +143,20 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
     test_keys = dataset.test_pairs[:, 0] * n_items + dataset.test_pairs[:, 1]
     hit = np.zeros((M, n_max), dtype=bool)
     step = max(1, SCORE_BLOCK_BYTES // (8 * n_items))
-    for lo in range(0, M, step):
-        rows, position, items = _ranked_block(reps.readout, dataset, lo,
-                                              min(lo + step, M), n_max)
+    starts = range(0, M, step)
+    # block j works in slot j % len(slots); the window, the slot count, holds
+    # block j + len(slots) back until block j has returned
+    slots = [_buffers(min(step, M), n_items)
+             for _ in range(min(graph.WORKERS, len(starts)))]
+
+    def ranked(j):
+        lo = starts[j]
+        return _ranked_block(reps.readout, dataset, lo, min(lo + step, M), n_max,
+                             *slots[j % len(slots)])
+
+    blocks = graph.ordered_map(ranked, range(len(starts)), window=len(slots))
+    # the hits are written here, in block order
+    for lo, (rows, position, items) in zip(starts, blocks):
         keys = (lo + rows) * n_items + items
         found = np.minimum(np.searchsorted(test_keys, keys), test_keys.size - 1)
         hit[lo + rows, position] = test_keys[found] == keys

@@ -10,17 +10,19 @@ one place that turns a social weight vector into that operator: training's
 `backbone.propagate` runs it inside its fused tape op and `build_adjacency`
 runs it for evaluation.
 
-The heavy passes over every social pair and every adjacency row run on a
-thread pool of `WORKERS` threads, made on first use: numpy's and scipy's
-kernels release the interpreter lock, and BLAS pinned to one thread leaves
-the other cores idle.  Work is cut so that the worker count never changes a
-result: a span of pairs or rows writes only its own rows of a result, and
-partial sums that must be added are added by the calling thread in the
-serial order (`ordered_map`).  With one worker, or one span, every span
-runs inline on the calling thread, in order.  The calling thread makes the
-large buffers that tasks fill, so the n x n and block buffers live in its
-allocator arena, not in one per worker; only scipy's sparse products
-allocate their results in the worker that runs them.
+The heavy passes over every social pair and every adjacency row, and the
+score blocks of `evaluation.evaluate`, run on a thread pool of `WORKERS`
+threads, made on first use: numpy's and scipy's kernels release the
+interpreter lock, and BLAS pinned to one thread leaves the other cores
+idle.  Work is cut so that the worker count never changes a result: a span
+of pairs or rows writes only its own rows of a result, and partial sums
+that must be added, or ranked blocks whose hits must be written, are
+handled by the calling thread in the serial order (`ordered_map`).  With
+one worker, or one span, every span runs inline on the calling thread, in
+order.  The calling thread makes the large buffers that tasks fill, so the
+n x n and block buffers live in its allocator arena, not in one per
+worker; only scipy's sparse products allocate their results in the worker
+that runs them.
 
 The pool's size is `worker_count`: the CPUs this process may use divided
 by the BLAS thread count, so the pool takes the cores that BLAS pinned to

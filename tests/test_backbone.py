@@ -11,7 +11,7 @@ from gbsr import graph
 from gbsr.backbone import MAX_LAYERS, EmbeddingTable, forward, propagate
 from gbsr.data import Dataset
 from gbsr.errors import ConfigError, DataError
-from gbsr.evaluation import _ranked_block, rank_user
+from gbsr.evaluation import _buffers, _ranked_block, rank_user
 from gbsr.graph import DEGREE_FLOOR, build_adjacency
 
 
@@ -100,7 +100,8 @@ class TestScoring:
             assert rank_user(reps, tiny_dataset, u, 3).tolist() == want
 
     def test_block_matches_single_user_lists(self, reps, tiny_dataset):
-        rows, position, items = _ranked_block(reps.readout, tiny_dataset, 0, 3, 3)
+        rows, position, items = _ranked_block(reps.readout, tiny_dataset, 0, 3, 3,
+                                              *_buffers(3, tiny_dataset.item_count))
         for u in range(3):
             single = rank_user(reps, tiny_dataset, u, 3)
             assert items[rows == u].tolist() == single.tolist()

@@ -189,9 +189,9 @@ class TestBlockedRanking:
         blocks = []
         ranked_block = evaluation._ranked_block
 
-        def spy(readout, dataset, lo, hi, cutoff):
+        def spy(readout, dataset, lo, hi, cutoff, *buffers):
             blocks.append(hi - lo)
-            return ranked_block(readout, dataset, lo, hi, cutoff)
+            return ranked_block(readout, dataset, lo, hi, cutoff, *buffers)
 
         monkeypatch.setattr(evaluation, "_ranked_block", spy)
         rng = np.random.default_rng(100 + block_users)

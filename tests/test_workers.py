@@ -1,22 +1,25 @@
 """The worker pool: its size rule, and that its size never changes a result.
 
-The all-pair kernels, the propagation products and the HSIC kernels run on
-`graph.WORKERS` threads.  Every result here must be bitwise equal at 1, 2
-and 3 workers, and at more workers than this host has cores with the
-interpreter switching threads as often as it can, which would expose a
-span writing outside its rows or a block buffer reused too early.
+The all-pair kernels, the propagation products, the HSIC kernels and the
+ranking blocks run on `graph.WORKERS` threads.  Every result here must be
+bitwise equal at 1, 2 and 3 workers, and at more workers than this host has
+cores with the interpreter switching threads as often as it can, which
+would expose a span writing outside its rows or a block buffer reused too
+early.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbsr import backbone, graph
+from gbsr import backbone, evaluation, graph
+from gbsr.backbone import NodeRepresentations
 from gbsr.data import Dataset, SyntheticSpec, generate_synthetic, sample_batch_arrays
 from gbsr.denoiser import DenoiserParams, denoise
 from gbsr.objective import gradients
@@ -43,7 +46,8 @@ def instance(social):
                              noise_edge_fraction=0.5, seed=11)
         ds, _ = generate_synthetic(spec)
     else:
-        ds = Dataset(6, 4, [(u, u % 4) for u in range(6)] + [(0, 1), (3, 2)], [], [])
+        ds = Dataset(6, 4, [(u, u % 4) for u in range(6)] + [(0, 1), (3, 2)],
+                     [(1, 3), (2, 0), (5, 2)], [])
     rng = np.random.default_rng(5)
     E = rng.standard_normal((ds.node_count, 4)) * 0.5
     params = DenoiserParams.init(4, rng, scale=0.3, observation_bias=0.1)
@@ -52,9 +56,11 @@ def instance(social):
     return ds, E, params, batch, deltas
 
 
-def results(ds, E, params, batch, deltas):
+def results(ds, E, params, batch, deltas, blocks):
     """Losses and all five gradient blocks under both detach_original
-    values, the evaluation confidences and the evaluation readout."""
+    values, the evaluation confidences, the evaluation readout, and its
+    metrics with every ranked block's arrays, which the `_ranked_block` spy
+    records into `blocks` by first user."""
     layout = graph.layout_for(ds)
     out = {}
     for detach in (False, True):
@@ -66,7 +72,15 @@ def results(ds, E, params, batch, deltas):
     cmap = denoise(params, E, ds)
     out["confidence"], out["relaxed"] = cmap.confidence, cmap.relaxed
     adj = graph.build_adjacency(ds, cmap)
-    out["readout"] = backbone.forward(backbone.EmbeddingTable(E, 3), adj).readout
+    reps = backbone.forward(backbone.EmbeddingTable(E, 3), adj)
+    out["readout"] = reps.readout
+    blocks.clear()
+    report = evaluation.evaluate(reps, ds, (3, 10))
+    out["metrics"] = np.array([report.recall[3], report.recall[10],
+                               report.ndcg[3], report.ndcg[10]])
+    for lo, arrays in blocks.items():
+        out.update({f"rank/{lo}/{name}": a
+                    for name, a in zip(("rows", "positions", "items"), arrays)})
     return out
 
 
@@ -75,11 +89,22 @@ def test_worker_count_never_changes_a_result(monkeypatch, social):
     # one pair per block, set before the layout plans them: 59 blocks, so
     # every count below reuses its backward's block buffers
     monkeypatch.setattr(graph, "PAIR_BLOCK", 1)
+    # one user per ranking block: 24 or 6 blocks, so every count below
+    # reuses its buffer slots
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 1)
+    ranked, ranked_block = {}, evaluation._ranked_block
+
+    def spy(readout, dataset, lo, hi, cutoff, *buffers):
+        ranked[lo] = ranked_block(readout, dataset, lo, hi, cutoff, *buffers)
+        return ranked[lo]
+
+    monkeypatch.setattr(evaluation, "_ranked_block", spy)
     ds, E, params, batch, deltas = instance(social)
     blocks = len(graph.layout_for(ds).pair_blocks())
     assert blocks == (59 if social else 0)
     with workers(1):
-        want = results(ds, E, params, batch, deltas)
+        want = results(ds, E, params, batch, deltas, ranked)
+    assert len(ranked) == ds.user_count == (24 if social else 6)
     # the last count exceeds the cores, with the thread switch interval cut
     stress = graph._cpu_count() + 2
     interval = sys.getswitchinterval()
@@ -89,12 +114,34 @@ def test_worker_count_never_changes_a_result(monkeypatch, social):
             with workers(count):
                 spans = graph.pair_spans(ds.social_pairs.shape[0])
                 assert len(spans) == max(1, min(count, blocks))
-                got = results(ds, E, params, batch, deltas)
+                got = results(ds, E, params, batch, deltas, ranked)
         finally:
             sys.setswitchinterval(interval)
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key].tobytes() == value.tobytes(), (count, key)
+
+
+def test_ranking_memory_is_bounded():
+    # eval-full's shape: 2000 users x 2000 items, so 8 blocks of 262 users
+    # in 2 slots.  Blocks made in the workers, or full-size partition
+    # copies, take over 4 x SCORE_BLOCK_BYTES at 2 workers
+    rng = np.random.default_rng(7)
+    M = N = 2000
+    picks = np.argpartition(rng.random((M, N)), 25, axis=1)[:, :25]
+    train_users, test_users = np.repeat(np.arange(M), 20), np.repeat(np.arange(M), 5)
+    ds = Dataset(M, N, np.column_stack([train_users, picks[:, :20].ravel()]),
+                 np.column_stack([test_users, picks[:, 20:].ravel()]), [])
+    readout = rng.standard_normal((M + N, 64))
+    reps = NodeRepresentations([readout], readout, M)
+    with workers(2):
+        tracemalloc.start()
+        try:
+            evaluation.evaluate(reps, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * evaluation.SCORE_BLOCK_BYTES, peak / evaluation.SCORE_BLOCK_BYTES
 
 
 class TestWorkerCount:
