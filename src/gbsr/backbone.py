@@ -82,9 +82,10 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     users, so that sum is one row-wise dot <Z1[a], Z2[b]> of the user rows
     Z1 = [g_1 .. g_L | X_0 .. X_{L-1}] and Z2 = [X_0 .. X_{L-1} | g_1 .. g_L],
     taken in blocks of `graph.SDDMM_BLOCK` pairs.  The products A X_l and
-    A g_{l+1} run on the worker pool (`graph.row_split`); the SDDMM loop
-    stays on the calling thread, since its small blocks spend much of their
-    time holding the interpreter lock.
+    A g_{l+1} run on the worker pool (`graph.row_split`), and so does the
+    SDDMM loop: one contiguous span of blocks per worker
+    (`graph.pair_spans`), each with its own two gather buffers, writing only
+    its own pairs' values.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
     multiply = graph.row_split(operator)
@@ -110,15 +111,22 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
         a, b, n = layout.social_a, layout.social_b, layout.social_count
         pair = np.empty(n)
         block = min(n, graph.SDDMM_BLOCK)
-        z1, z2 = np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))
-        # `Dataset` range-checks every social pair, so the gathers skip
-        # numpy's bounds check (mode="clip"), which would first copy into a temporary
-        for lo in range(0, n, graph.SDDMM_BLOCK):
-            hi = min(lo + graph.SDDMM_BLOCK, n)
-            x1, x2 = z1[:hi - lo], z2[:hi - lo]
-            np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
-            np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
-            np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
+
+        def sddmm_span(task):
+            (first, last), (z1, z2) = task
+            # `Dataset` range-checks every social pair, so the gathers skip
+            # numpy's bounds check (mode="clip"), which would first copy into a temporary
+            for lo in range(first, last, graph.SDDMM_BLOCK):
+                hi = min(lo + graph.SDDMM_BLOCK, last)
+                x1, x2 = z1[:hi - lo], z2[:hi - lo]
+                np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
+                np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
+                np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
+
+        spans = graph.pair_spans(n, graph.SDDMM_BLOCK)
+        graph.parallel_map(sddmm_span, [
+            (span, (np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))))
+            for span in spans])
         return pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b], g
 
     return ad._make(readout, (rho, embeddings), backward)

@@ -12,7 +12,8 @@ Training draws delta uniformly per pair; `denoise`, the evaluation and
 export readout, fixes delta = 0.5, which makes rho a monotone function of w
 alone.
 `confidences` (one fused tape op over all pairs, walked in blocks of
-`graph.PAIR_BLOCK` pairs on `graph`'s worker pool) and `relax_sample` are
+`graph.PAIR_BLOCK` pairs on `graph`'s worker pool, keeping no per-pair
+hidden layer) and `relax_sample` are
 written on the autodiff tape; training records them on the parameter leaves
 and `denoise` runs them on constants.
 """
@@ -99,26 +100,26 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     (E Wa + b1)[a] + (E Wb)[b] + (e_a * e_b) Wc, so no pairs x 3d block is
     built.  Both passes walk the pairs in blocks of `graph.PAIR_BLOCK`, and
     a block runs only gathers, GEMMs and in-place ufuncs on a few
-    block-sized buffers made once per pass, one set per span or slot.  Only
-    the hidden layer H is kept for the backward, and only when a parent
-    needs gradients.  The forward gives each worker one contiguous span of
-    blocks (`graph.pair_spans`), which writes only its own rows of H and of
-    the output.
+    block-sized buffers, so no pairs x d array exists: the forward keeps
+    only its output, E Wa + b1 and E Wb.  The forward gives each worker one
+    contiguous span of blocks (`graph.pair_spans`), with its own buffers,
+    which writes only its own rows of the output.
 
-    With s the output's gradient through the logistic, the hidden layer's
-    gradient is gz = u diag(w2) with u = (1 - h^2) * s per row, so the
-    backward works on u and scales by w2 where it is cheap:
-    gWc = ((e_a * e_b)^T u) diag(w2) and gq = gz Wc^T = u (Wc diag(w2))^T.
-    It overwrites each block's rows of H with u once they are read; the
-    per-user sums of gz over the pairs' first and second users are then one
-    one-hot product each (`layout.pair_sums`), and only the d-wide
-    gq * e_b and gq * e_a are summed per user block by block
-    (`layout.pair_blocks`).  Workers run the blocks, each into one of
-    2 x `graph.WORKERS` buffer slots, and return its gW2 and gWc partials
-    and its two per-user sums; the calling thread adds them into gW2, gWc
-    and the per-user totals in block order, the serial loop's order, so the
-    worker count never changes a bit.  The two `pair_sums` products run
-    concurrently.
+    The backward recomputes each block's hidden rows h with the forward's
+    ops in the forward's order, so h is bitwise the forward's.  With s the
+    output's gradient through the logistic, the hidden layer's gradient is
+    gz = u diag(w2) with u = (1 - h^2) * s per row, so the backward works
+    on u and scales by w2 where it is cheap:
+    gWc = ((e_a * e_b)^T u) diag(w2) and gq = gz Wc^T = u (Wc diag(w2))^T,
+    reusing the gathers e_a, e_b and e_a * e_b of the recomputation.  The
+    per-user sums of u and of the d-wide gq * e_b and gq * e_a over the
+    pairs' first and second users are taken block by block through the
+    block's one-hot matrices (`layout.pair_blocks`).  Workers run the
+    blocks, each into one of 2 x `graph.WORKERS` buffer slots made by the
+    calling thread, and return its gW2 and gWc partials and its four
+    per-user sums; the calling thread adds them into gW2, gWc and the
+    per-user totals in block order, the serial loop's order, so the worker
+    count never changes a bit.
     """
     W1, b1, W2, b2 = head
     E, W = embeddings.data, W1.data
@@ -129,77 +130,78 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     users = E[:M]
     UA, UB = users @ Wa, users @ Wb
     UA += b1.data
-    keep = any(t.requires_grad for t in (embeddings,) + tuple(head))
     block = min(n, graph.PAIR_BLOCK)
-    H = np.empty((n, d)) if keep else None
     out = np.empty(n)
-    spans = graph.pair_spans(n)
-    # per span: two gather buffers and, unless H is kept, the hidden rows'
-    buffers = [[np.empty((block, d)) for _ in range(3)] for _ in spans]
+
+    def hidden(lo, hi, ea, eb, p, y, h):
+        """Block lo..hi's hidden rows into h, with e_a, e_b and e_a * e_b
+        left in ea, eb and p; y is scratch.  A caller that needs only h
+        may pass ea as p and eb as y.  `Dataset` range-checks every social
+        pair, so the gathers skip numpy's bounds check (mode="clip"), which
+        would first copy into a temporary."""
+        ca, cb = a[lo:hi], b[lo:hi]
+        np.take(E, ca, axis=0, out=ea, mode="clip")
+        np.take(E, cb, axis=0, out=eb, mode="clip")
+        np.multiply(ea, eb, out=p)
+        np.matmul(p, Wc, out=y)
+        np.take(UA, ca, axis=0, out=h, mode="clip")
+        h += y
+        np.take(UB, cb, axis=0, out=y, mode="clip")
+        h += y
+        np.tanh(h, out=h)
 
     def forward_span(task):
-        (first, last), (bx, by, bh) = task
-        # `Dataset` range-checks every social pair, so the gathers skip
-        # numpy's bounds check (mode="clip"), which would first copy into a
-        # temporary
+        (first, last), buffers = task
         for lo in range(first, last, graph.PAIR_BLOCK):
             hi = min(lo + graph.PAIR_BLOCK, last)
-            ca, cb, m = a[lo:hi], b[lo:hi], hi - lo
-            h = H[lo:hi] if keep else bh[:m]
-            x, y = bx[:m], by[:m]
-            np.take(E, ca, axis=0, out=x, mode="clip")
-            np.take(E, cb, axis=0, out=y, mode="clip")
-            x *= y
-            np.matmul(x, Wc, out=y)
-            np.take(UA, ca, axis=0, out=h, mode="clip")
-            h += y
-            np.take(UB, cb, axis=0, out=y, mode="clip")
-            h += y
-            np.tanh(h, out=h)
+            x, y, h = (buffer[:hi - lo] for buffer in buffers)
+            hidden(lo, hi, x, y, x, y, h)
             expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
 
-    graph.parallel_map(forward_span, zip(spans, buffers))
+    spans = graph.pair_spans(n, graph.PAIR_BLOCK)
+    graph.parallel_map(forward_span, [
+        (span, [np.empty((block, d)) for _ in range(3)]) for span in spans])
 
     def backward(g):
         s = g * out * (1.0 - out)
         w2 = W2.data[:, 0]
         Wq = (Wc * w2).T
         gW2, gWc = np.zeros((d, 1)), np.zeros((d, d))
+        ga, gb = np.zeros((M, d)), np.zeros((M, d))
         half_a, half_b = np.zeros((M, d)), np.zeros((M, d))
         plan = layout.pair_blocks()
         # block k works in slot k % len(slots); the window holds block
         # k + len(slots) back until block k's partials have been added
-        slots = [(np.empty((block, d)), np.empty((block, d)), np.empty((block, d)),
-                  np.empty((d, 1)), np.empty((d, d)))
+        slots = [([np.empty((block, d)) for _ in range(5)], np.empty((d, 1)), np.empty((d, d)))
                  for _ in range(min(2 * graph.WORKERS, len(plan)))]
 
         def backward_block(k):
             lo, hi, users_a, to_a, users_b, to_b = plan[k]
-            ba, bb, bq, pW2, pWc = slots[k % len(slots)]
-            ca, cb, m = a[lo:hi], b[lo:hi], hi - lo
-            h, sb, ea, eb, gq = H[lo:hi], s[lo:hi, None], ba[:m], bb[:m], bq[:m]
-            np.matmul(h.T, sb, out=pW2)
-            # h becomes u; the tape runs this backward once
-            h *= h
-            np.subtract(1.0, h, out=h)
-            h *= sb
-            np.take(E, ca, axis=0, out=ea, mode="clip")
-            np.take(E, cb, axis=0, out=eb, mode="clip")
-            np.multiply(ea, eb, out=gq)
-            np.matmul(gq.T, h, out=pWc)
-            np.matmul(h, Wq, out=gq)
+            buffers, pW2, pWc = slots[k % len(slots)]
+            ea, eb, p, gq, u = (x[:hi - lo] for x in buffers)
+            hidden(lo, hi, ea, eb, p, gq, u)
+            sb = s[lo:hi, None]
+            np.matmul(u.T, sb, out=pW2)
+            # u = (1 - h^2) * s, in h's buffer
+            u *= u
+            np.subtract(1.0, u, out=u)
+            u *= sb
+            np.matmul(p.T, u, out=pWc)
+            np.matmul(u, Wq, out=gq)
             ea *= gq
             eb *= gq
-            return pW2, pWc, users_a, to_a @ eb, users_b, to_b @ ea
+            return (pW2, pWc, users_a, to_a @ u, to_a @ eb,
+                    users_b, to_b @ u, to_b @ ea)
 
         # the partials are added here, in block order, as the serial loop adds them
-        for pW2, pWc, users_a, qa, users_b, qb in graph.ordered_map(
+        for pW2, pWc, users_a, ua, qa, users_b, ub, qb in graph.ordered_map(
                 backward_block, range(len(plan)), window=len(slots)):
             gW2 += pW2
             gWc += pWc
+            ga[users_a] += ua
             half_a[users_a] += qa
+            gb[users_b] += ub
             half_b[users_b] += qb
-        ga, gb = graph.parallel_map(lambda one_hot: one_hot @ H, layout.pair_sums())
         ga *= w2
         gb *= w2
         gE = np.zeros_like(E)

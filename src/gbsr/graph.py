@@ -126,13 +126,13 @@ def parallel_map(fn, items) -> list:
     return [first] + [future.result() for future in rest]
 
 
-def pair_spans(count: int):
+def pair_spans(count: int, block: int):
     """range(count) cut into at most WORKERS contiguous (lo, hi) spans whose
-    inner edges fall on multiples of PAIR_BLOCK, so each span walks whole
+    inner edges fall on multiples of `block`, so each span walks whole
     blocks of the serial loop; one (0, 0) span when count is 0."""
-    blocks = -(-count // PAIR_BLOCK)
+    blocks = -(-count // block)
     parts = max(1, min(WORKERS, blocks))
-    edges = [min(count, blocks * k // parts * PAIR_BLOCK) for k in range(parts + 1)]
+    edges = [min(count, blocks * k // parts * block) for k in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -141,9 +141,8 @@ class EdgeLayout:
 
     Entry order: social pairs (a -> b), social pairs (b -> a), interactions
     (user -> item), interactions (item -> user).  The CSR structure of the
-    adjacency and the pair plan (`pair_blocks`, `pair_sums`) are built on
-    first use, so evaluation never pays for the plan, which only a backward
-    pass needs.
+    adjacency and the pair plan (`pair_blocks`) are built on first use, so
+    evaluation never pays for the plan, which only a backward pass needs.
     """
 
     def __init__(self, dataset: Dataset):
@@ -161,7 +160,7 @@ class EdgeLayout:
         self.user_count = M
         self.item_count = dataset.item_count
         self._csr_structure = None
-        self._pair_blocks = self._pair_sums = None
+        self._pair_blocks = None
 
     def _csr(self):
         """(layout-to-CSR entry order, indices, indptr).  Entries are ordered
@@ -178,38 +177,18 @@ class EdgeLayout:
             self._csr_structure = (order, template.indices, template.indptr)
         return self._csr_structure
 
-    def _plan(self):
-        if self._pair_blocks is None:
-            blocks = []
-            for lo in range(0, self.social_count, PAIR_BLOCK):
-                hi = min(lo + PAIR_BLOCK, self.social_count)
-                blocks.append((lo, hi) + _one_hot_block(self.social_a[lo:hi])
-                              + _one_hot_block(self.social_b[lo:hi]))
-            # one entry per column: the product streams X's rows in order
-            # and sums each user's rows in pair order, as CSR would; the
-            # second matrix shares the first's values and column starts
-            shape = (self.user_count, self.social_count)
-            to_a = sp.csc_matrix((np.ones(self.social_count), self.social_a,
-                                  np.arange(self.social_count + 1)), shape=shape)
-            to_b = sp.csc_matrix((to_a.data, self.social_b, to_a.indptr), shape=shape)
-            self._pair_blocks, self._pair_sums = blocks, (to_a, to_b)
-
     def pair_blocks(self):
         """The social pairs in blocks of PAIR_BLOCK, as a list of
         (lo, hi, users_a, to_a, users_b, to_b): users_a are the distinct first
         users of pairs lo..hi-1 and to_a the one-hot (len(users_a) x block)
         CSR matrix with `to_a @ X` summing the block's rows of X per user;
         likewise for the second users.  Built once per layout."""
-        self._plan()
+        if self._pair_blocks is None:
+            n = self.social_count
+            spans = [(lo, min(lo + PAIR_BLOCK, n)) for lo in range(0, n, PAIR_BLOCK)]
+            self._pair_blocks = [(lo, hi) + _one_hot_block(self.social_a[lo:hi])
+                                 + _one_hot_block(self.social_b[lo:hi]) for lo, hi in spans]
         return self._pair_blocks
-
-    def pair_sums(self):
-        """(to_a, to_b): the one-hot (user_count x social_count) CSC matrices
-        with `to_a @ X` summing the rows of X per pair's first user, and
-        `to_b @ X` per second user.  Built once per layout, with
-        `pair_blocks`."""
-        self._plan()
-        return self._pair_sums
 
 
 def _one_hot_block(users: np.ndarray):

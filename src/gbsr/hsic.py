@@ -23,9 +23,9 @@ buffer from its product to its centering:
 - the value is one BLAS dot of the two centered kernels.
 
 The forward builds the two kernels concurrently on `graph`'s worker pool,
-each into an n x n buffer the calling thread makes.  The backward runs its
-routes one after another through one shared gradient buffer: concurrent
-routes would cost a second n x n buffer.
+each into an n x n buffer the calling thread makes.  The backward makes no
+n x n buffer: it overwrites each kernel that a gradient route needs with
+that route's G, in row chunks, and runs the routes concurrently.
 
 Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
@@ -95,6 +95,10 @@ def _side(T: ad.Tensor, K: np.ndarray, users: np.ndarray, sigma_sq: float,
     return K, (Z, r, Zn, K, c)
 
 
+# kernel rows per chunk of `bottleneck`'s in-place gradient kernels
+GRADIENT_CHUNK_ROWS = 64
+
+
 def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
                normalize: bool = True) -> ad.Tensor:
     """HSIC between rows of X and Y restricted to the distinct batch users,
@@ -109,7 +113,11 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     r = (|z|^2 + 1e-24)^-1/2 then gives dHSIC/dZ = r gXn - Z r^3 <gXn, Z>.
     The users are distinct, so the rows are written into the gradient by
     assignment.  The Y side is the same with the roles swapped and runs
-    only when Y carries a gradient.
+    only when Y carries a gradient.  Each side's G is written into its own
+    kernel's buffer, GRADIENT_CHUNK_ROWS rows at a time, and every side's
+    chunk is taken from intact rows before any is written back, so no n x n
+    buffer is made.  The sides' routes then run concurrently on the worker
+    pool, and the calling thread makes each full-size gradient.
     """
     users = np.unique(np.asarray(batch_users, dtype=np.int64))
     if users.size < 2:
@@ -121,30 +129,30 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
         [(T, np.empty((n, n))) for T in (X, Y)])
     value = _dependence(Kxc, Kyc)
 
-    def route(T, saved, other, G, scale):
-        # a side's gradient needs its saved arrays and the other's kernel
-        if saved is None:
-            return None
-        Z, r, Zn, Kc, c = saved
-        np.subtract(Kc, c[:, None], out=G)
-        G -= c
-        G *= other
+    def route(saved, full, scale):
+        Z, r, Zn, G, _ = saved
         np.fill_diagonal(G, 0.0)
         # G is symmetric up to rounding, so [Xn | 1]^T G gives the
         # transposed [G Xn | G 1]; this operand order is the faster GEMM
         M = np.vstack([Zn.T, np.ones(n)]) @ G
         gZ = scale * (M[-1][:, None] * Zn - M[:-1].T)
-        del M  # freed before the full-size gradient is made
         if r is not None:
             gZ = r * gZ - Z * (r ** 3 * np.einsum("nd,nd->n", gZ, Z)[:, None])
-        full = np.zeros_like(T.data)
         full[users] = gZ
-        return full
 
     def backward(g):
         scale = -4.0 * float(g) / (float((n - 1) ** 2) * 2.0 * sigma_sq)
-        G = np.empty((n, n))
-        return route(X, x_saved, Kyc, G, scale), route(Y, y_saved, Kxc, G, scale)
+        sides = [(saved, other, None if saved is None else np.zeros_like(T.data))
+                 for T, saved, other in ((X, x_saved, Kyc), (Y, y_saved, Kxc))]
+        live = [side for side in sides if side[0] is not None]
+        for lo in range(0, n, GRADIENT_CHUNK_ROWS):
+            hi = min(lo + GRADIENT_CHUNK_ROWS, n)
+            chunks = [(K[lo:hi] - c[lo:hi, None] - c) * other[lo:hi]
+                      for (*_, K, c), other, _ in live]
+            for ((*_, K, _), _, _), G in zip(live, chunks):
+                K[lo:hi] = G
+        graph.parallel_map(lambda side: route(side[0], side[2], scale), live)
+        return tuple(full for _, _, full in sides)
 
     return ad._make(value, (X, Y), backward)
 

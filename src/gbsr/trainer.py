@@ -112,8 +112,9 @@ class Adam:
         correction2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, value in params.items():
             g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(value))
-            v = self.v.setdefault(name, np.zeros_like(value))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(value), np.zeros_like(value)
+            m, v = self.m[name], self.v[name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2

@@ -1,5 +1,8 @@
 """Edge-confidence head and relaxed Bernoulli reweighting."""
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -103,7 +106,7 @@ class TestConfidenceOp:
         out = confidences(fused[0], fused[1:], layout)
         forward = out.data.copy()
         (out * w).sum().backward()
-        # the backward reuses the kept hidden layer, never the output
+        # the backward recomputes the hidden layer and leaves the output as it was
         np.testing.assert_array_equal(out.data, forward)
         generic = [ad.Tensor(x, requires_grad=True) for x in arrays]
         E, (W1, b1, W2, b2) = generic[0], generic[1:]
@@ -134,6 +137,31 @@ class TestConfidenceOp:
                                             block):
         monkeypatch.setattr(graph, "PAIR_BLOCK", block)
         self.check_all_parents(users, social)
+
+
+    def test_forward_keeps_no_hidden_layer(self):
+        # many pairs on few nodes: every pair of 120 users, d = 32.  The
+        # hidden layer H alone is pairs x d float64; between the forward and
+        # the backward the op holds its output and two users x d products
+        users, d = 120, 32
+        social = list(combinations(range(users), 2))
+        ds = Dataset(users, 1, train=[], test=[], social=social)
+        layout = graph.layout_for(ds)
+        rng = np.random.default_rng(8)
+        E = ad.Tensor(rng.standard_normal((ds.node_count, d)), requires_grad=True)
+        head = [ad.Tensor(p, requires_grad=True) for p in (
+            rng.standard_normal((3 * d, d)), rng.standard_normal(d),
+            rng.standard_normal((d, 1)), rng.standard_normal(1))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = confidences(E, head, layout)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        out.sum().backward()
+        assert E.grad is not None
+        assert held < len(social) * d * 8, held / (len(social) * d * 8)
 
 
 class TestParams:

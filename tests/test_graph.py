@@ -125,22 +125,6 @@ class TestLayout:
                     want = [X[lo:hi][pair_users[lo:hi] == u].sum(axis=0) for u in users]
                     np.testing.assert_array_equal(one_hot @ X[lo:hi], want)
 
-    @pytest.mark.parametrize("social", [STRADDLE_PAIRS, []], ids=["straddle", "no_social"])
-    def test_pair_sums_add_rows_per_user_in_pair_order(self, social):
-        # over all pairs at once, each user's rows are summed from zero in
-        # pair order, exactly as a loop over the pairs would add them
-        ds = Dataset(6, 1, train=[], test=[], social=social)
-        lay = EdgeLayout(ds)
-        sums = lay.pair_sums()
-        assert lay.pair_sums() is sums
-        rng = np.random.default_rng(1)
-        scale = 10.0 ** rng.integers(-8, 8, size=(len(social), 1))
-        X = rng.standard_normal((len(social), 3)) * scale
-        for pair_users, one_hot in zip((lay.social_a, lay.social_b), sums):
-            want = np.zeros((6, 3))
-            np.add.at(want, pair_users, X)
-            np.testing.assert_array_equal(one_hot @ X, want)
-
 
 class TestAgainstDenseOracle:
     def test_random_instances(self):

@@ -423,11 +423,11 @@ class TestBottleneckAtBenchSize:
 
 class TestBottleneckMemory:
     def test_no_n_by_n_temporaries(self):
-        # one forward plus backward holds the two centered kernels and one
-        # gradient buffer: 3 units of n^2 float64 plus small n x d arrays
-        # (3.22 measured); one more n x n temporary alive at the peak fails,
-        # and kernels built with separate Gram, distance and centered arrays
-        # peaked at 5.19
+        # one forward plus backward holds the two centered kernels, which
+        # the backward overwrites with the routes' G, and one row chunk:
+        # 2 units of n^2 float64 plus small arrays (2.31 measured); one more
+        # n x n temporary alive at the peak fails, and kernels built with
+        # separate Gram, distance and centered arrays peaked at 5.19
         n = 400
         rng = np.random.default_rng(31)
         Xt = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
@@ -439,4 +439,24 @@ class TestBottleneckMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / (n * n * 8) < 4.0
+        assert peak / (n * n * 8) < 3.0
+
+    @pytest.mark.parametrize("y_grad", [True, False], ids=["two_routes", "one_route"])
+    def test_backward_makes_no_n_by_n_buffer(self, y_grad):
+        # each route's G is written into its own kernel's buffer, a row
+        # chunk at a time; a separate n x n gradient buffer alone is n^2
+        # float64
+        n = 600
+        rng = np.random.default_rng(32)
+        Xt = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+        Yt = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=y_grad)
+        out = hsic.bottleneck(Xt, Yt, np.arange(n), 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (Yt.grad is not None) == y_grad
+        assert peak < n * n * 8, peak / (n * n * 8)

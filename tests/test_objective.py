@@ -333,9 +333,9 @@ class TestTapeSize:
 
 class TestBackwardOnlyPlan:
     def test_evaluation_leaves_pair_plan_unbuilt(self):
-        # the one-hot pair matrices, per block and over all pairs, serve only
-        # the confidence op's backward: the evaluation path and a loss
-        # without gradients never build them, and the first backward does
+        # the per-block one-hot pair matrices serve only the confidence op's
+        # backward: the evaluation path and a loss without gradients never
+        # build them, and the first backward does
         _, _, E, params, batch, deltas = make_instance()
         ds = Dataset(4, 3, [(0, 0), (1, 1), (2, 2), (3, 0)], [(0, 1), (1, 2)],
                      [(0, 1), (1, 2), (2, 3)])
@@ -345,9 +345,9 @@ class TestBackwardOnlyPlan:
         evaluate(reps, ds, (1, 2))
         kwargs = {"layers": 2, "beta": 1.0, "reg_lambda": 1e-3, "sigma_sq": 1.0}
         gradients(E, params, layout, batch, deltas, with_grads=False, **kwargs)
-        assert layout._pair_blocks is None and layout._pair_sums is None
+        assert layout._pair_blocks is None
         gradients(E, params, layout, batch, deltas, with_grads=True, **kwargs)
-        assert layout._pair_blocks is not None and layout._pair_sums is not None
+        assert layout._pair_blocks is not None
 
 
 class TestGradientValidation:

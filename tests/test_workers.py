@@ -1,11 +1,11 @@
 """The worker pool: its size rule, and that its size never changes a result.
 
-The all-pair kernels, the propagation products, the HSIC kernels and the
-ranking blocks run on `graph.WORKERS` threads.  Every result here must be
-bitwise equal at 1, 2 and 3 workers, and at more workers than this host has
-cores with the interpreter switching threads as often as it can, which
-would expose a span writing outside its rows or a block buffer reused too
-early.
+The all-pair kernels, the propagation products and its SDDMM spans, the
+HSIC kernels and gradient routes, and the ranking blocks run on
+`graph.WORKERS` threads.  Every result here must be bitwise equal at 1, 2
+and 3 workers, and at more workers than this host has cores with the
+interpreter switching threads as often as it can, which would expose a
+span writing outside its rows or a block buffer reused too early.
 """
 
 import os
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbsr import backbone, evaluation, graph
+from gbsr import backbone, evaluation, graph, hsic
 from gbsr.backbone import NodeRepresentations
 from gbsr.data import Dataset, SyntheticSpec, generate_synthetic, sample_batch_arrays
 from gbsr.denoiser import DenoiserParams, denoise
@@ -87,8 +87,12 @@ def results(ds, E, params, batch, deltas, blocks):
 @pytest.mark.parametrize("social", [True, False], ids=["synthetic", "no_social"])
 def test_worker_count_never_changes_a_result(monkeypatch, social):
     # one pair per block, set before the layout plans them: 59 blocks, so
-    # every count below reuses its backward's block buffers
+    # every count below reuses its backward's block buffers, and 59 SDDMM
+    # blocks, so the propagation backward's pairs are cut into spans too
     monkeypatch.setattr(graph, "PAIR_BLOCK", 1)
+    monkeypatch.setattr(graph, "SDDMM_BLOCK", 1)
+    # one kernel row per chunk of the HSIC backward's in-place G
+    monkeypatch.setattr(hsic, "GRADIENT_CHUNK_ROWS", 1)
     # one user per ranking block: 24 or 6 blocks, so every count below
     # reuses its buffer slots
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 1)
@@ -112,8 +116,9 @@ def test_worker_count_never_changes_a_result(monkeypatch, social):
         try:
             sys.setswitchinterval(1e-6 if count == stress else interval)
             with workers(count):
-                spans = graph.pair_spans(ds.social_pairs.shape[0])
-                assert len(spans) == max(1, min(count, blocks))
+                for block in (graph.PAIR_BLOCK, graph.SDDMM_BLOCK):
+                    spans = graph.pair_spans(ds.social_pairs.shape[0], block)
+                    assert len(spans) == max(1, min(count, blocks))
                 got = results(ds, E, params, batch, deltas, ranked)
         finally:
             sys.setswitchinterval(interval)
