@@ -7,9 +7,7 @@ scores are plain inner products between user and item readout rows.
 degree renormalization, the loop and the readout as one tape node for
 training; `forward` runs the same loop on a `build_adjacency` operator for
 evaluation.  Both renormalize through `graph.renormalize` and multiply by
-the operator through `graph.row_split`, which runs one product per span of
-rows on `graph`'s worker pool; each output row is the same sum as in the
-whole product.
+the operator through `graph.row_split`.
 """
 
 from __future__ import annotations
@@ -82,10 +80,9 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     users, so that sum is one row-wise dot <Z1[a], Z2[b]> of the user rows
     Z1 = [g_1 .. g_L | X_0 .. X_{L-1}] and Z2 = [X_0 .. X_{L-1} | g_1 .. g_L],
     taken in blocks of `graph.SDDMM_BLOCK` pairs.  The products A X_l and
-    A g_{l+1} run on the worker pool (`graph.row_split`), and so does the
-    SDDMM loop: one contiguous span of blocks per worker
-    (`graph.pair_spans`), each with its own two gather buffers, writing only
-    its own pairs' values.
+    A g_{l+1} run on the worker pool (`graph.row_split`), and the SDDMM
+    blocks through `graph.span_map`; a block writes only its own pairs'
+    values.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
     multiply = graph.row_split(operator)
@@ -112,21 +109,16 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
         pair = np.empty(n)
         block = min(n, graph.SDDMM_BLOCK)
 
-        def sddmm_span(task):
-            (first, last), (z1, z2) = task
+        def sddmm_block(lo, hi, buffers):
+            x1, x2 = (z[:hi - lo] for z in buffers)
             # `Dataset` range-checks every social pair, so the gathers skip
             # numpy's bounds check (mode="clip"), which would first copy into a temporary
-            for lo in range(first, last, graph.SDDMM_BLOCK):
-                hi = min(lo + graph.SDDMM_BLOCK, last)
-                x1, x2 = z1[:hi - lo], z2[:hi - lo]
-                np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
-                np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
-                np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
+            np.take(Z1, a[lo:hi], axis=0, out=x1, mode="clip")
+            np.take(Z2, b[lo:hi], axis=0, out=x2, mode="clip")
+            np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
 
-        spans = graph.pair_spans(n, graph.SDDMM_BLOCK)
-        graph.parallel_map(sddmm_span, [
-            (span, (np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))))
-            for span in spans])
+        graph.span_map(sddmm_block, n, graph.SDDMM_BLOCK,
+                       lambda: (np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))))
         return pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b], g
 
     return ad._make(readout, (rho, embeddings), backward)

@@ -12,14 +12,15 @@ Training draws delta uniformly per pair; `denoise`, the evaluation and
 export readout, fixes delta = 0.5, which makes rho a monotone function of w
 alone.
 `confidences` (one fused tape op over all pairs, walked in blocks of
-`graph.PAIR_BLOCK` pairs on `graph`'s worker pool, keeping no per-pair
-hidden layer) and `relax_sample` are
-written on the autodiff tape; training records them on the parameter leaves
-and `denoise` runs them on constants.
+`graph.PAIR_BLOCK` pairs through `graph.span_map` forward and
+`graph.ordered_map` backward, keeping no per-pair hidden layer) and
+`relax_sample` are written on the autodiff tape; training records them on
+the parameter leaves and `denoise` runs them on constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,9 @@ class DenoiserParams:
         for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} contains non-finite values")
-        if not (self.temperature > 0.0):
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        # the comparisons also reject NaN
+        if not (0.0 < self.temperature < math.inf):
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not (0.0 <= self.observation_bias <= 1.0):
             raise ConfigError(f"observation_bias must lie in [0, 1], got {self.observation_bias}")
 
@@ -101,9 +103,9 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     built.  Both passes walk the pairs in blocks of `graph.PAIR_BLOCK`, and
     a block runs only gathers, GEMMs and in-place ufuncs on a few
     block-sized buffers, so no pairs x d array exists: the forward keeps
-    only its output, E Wa + b1 and E Wb.  The forward gives each worker one
-    contiguous span of blocks (`graph.pair_spans`), with its own buffers,
-    which writes only its own rows of the output.
+    only its output, E Wa + b1 and E Wb.  The forward runs its blocks
+    through `graph.span_map`; a block writes only its own rows of the
+    output.
 
     The backward recomputes each block's hidden rows h with the forward's
     ops in the forward's order, so h is bitwise the forward's.  With s the
@@ -114,12 +116,11 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
     reusing the gathers e_a, e_b and e_a * e_b of the recomputation.  The
     per-user sums of u and of the d-wide gq * e_b and gq * e_a over the
     pairs' first and second users are taken block by block through the
-    block's one-hot matrices (`layout.pair_blocks`).  Workers run the
-    blocks, each into one of 2 x `graph.WORKERS` buffer slots made by the
-    calling thread, and return its gW2 and gWc partials and its four
-    per-user sums; the calling thread adds them into gW2, gWc and the
-    per-user totals in block order, the serial loop's order, so the worker
-    count never changes a bit.
+    block's one-hot matrices (`layout.pair_blocks`).  The blocks run
+    through `graph.ordered_map`, each returning its gW2 and gWc partials
+    (in its slot) and its four per-user sums; the calling thread adds them
+    into gW2, gWc and the per-user totals in block order, the serial loop's
+    order, so the worker count never changes a bit.
     """
     W1, b1, W2, b2 = head
     E, W = embeddings.data, W1.data
@@ -150,17 +151,13 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
         h += y
         np.tanh(h, out=h)
 
-    def forward_span(task):
-        (first, last), buffers = task
-        for lo in range(first, last, graph.PAIR_BLOCK):
-            hi = min(lo + graph.PAIR_BLOCK, last)
-            x, y, h = (buffer[:hi - lo] for buffer in buffers)
-            hidden(lo, hi, x, y, x, y, h)
-            expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
+    def forward_block(lo, hi, buffers):
+        x, y, h = (buffer[:hi - lo] for buffer in buffers)
+        hidden(lo, hi, x, y, x, y, h)
+        expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
 
-    spans = graph.pair_spans(n, graph.PAIR_BLOCK)
-    graph.parallel_map(forward_span, [
-        (span, [np.empty((block, d)) for _ in range(3)]) for span in spans])
+    graph.span_map(forward_block, n, graph.PAIR_BLOCK,
+                   lambda: [np.empty((block, d)) for _ in range(3)])
 
     def backward(g):
         s = g * out * (1.0 - out)
@@ -169,15 +166,10 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
         gW2, gWc = np.zeros((d, 1)), np.zeros((d, d))
         ga, gb = np.zeros((M, d)), np.zeros((M, d))
         half_a, half_b = np.zeros((M, d)), np.zeros((M, d))
-        plan = layout.pair_blocks()
-        # block k works in slot k % len(slots); the window holds block
-        # k + len(slots) back until block k's partials have been added
-        slots = [([np.empty((block, d)) for _ in range(5)], np.empty((d, 1)), np.empty((d, d)))
-                 for _ in range(min(2 * graph.WORKERS, len(plan)))]
 
-        def backward_block(k):
-            lo, hi, users_a, to_a, users_b, to_b = plan[k]
-            buffers, pW2, pWc = slots[k % len(slots)]
+        def backward_block(pairs, slot):
+            lo, hi, users_a, to_a, users_b, to_b = pairs
+            buffers, pW2, pWc = slot
             ea, eb, p, gq, u = (x[:hi - lo] for x in buffers)
             hidden(lo, hi, ea, eb, p, gq, u)
             sb = s[lo:hi, None]
@@ -195,7 +187,9 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
 
         # the partials are added here, in block order, as the serial loop adds them
         for pW2, pWc, users_a, ua, qa, users_b, ub, qb in graph.ordered_map(
-                backward_block, range(len(plan)), window=len(slots)):
+                backward_block, layout.pair_blocks(),
+                lambda: ([np.empty((block, d)) for _ in range(5)],
+                         np.empty((d, 1)), np.empty((d, d)))):
             gW2 += pW2
             gWc += pWc
             ga[users_a] += ua
@@ -220,8 +214,8 @@ def relax_sample(w: ad.Tensor, delta, temperature: float,
 
     The sum is never negative, so clipping it to [0, 1] is that minimum,
     with the same zero gradient where it clamps."""
-    if not (temperature > 0.0):
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if not (0.0 < temperature < math.inf):
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     w = ad.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
     d = np.clip(delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
     relaxed = ad.sigmoid((w + np.log(d / (1.0 - d))) / temperature)

@@ -14,11 +14,9 @@ scoring at least that, and one stable `lexsort` of the block's candidates by
 scores.  `rank_user` is the one-user block.  Recall and NDCG come from a
 (users x N) hit matrix.
 
-The blocks are ranked on `graph`'s worker pool (`graph.ordered_map`), and
-the calling thread fills the hit matrix in block order.  It also makes the
-block buffers, one slot per worker, and block j works in slot j % slots.
-The block size does not depend on the worker count, so neither does any
-product or result.
+The blocks run through `graph.span_map`, and each writes only its own
+users' rows of the hit matrix.  The block size does not depend on the
+worker count, so neither does any product or result.
 """
 
 from __future__ import annotations
@@ -143,23 +141,14 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
     test_keys = dataset.test_pairs[:, 0] * n_items + dataset.test_pairs[:, 1]
     hit = np.zeros((M, n_max), dtype=bool)
     step = max(1, SCORE_BLOCK_BYTES // (8 * n_items))
-    starts = range(0, M, step)
-    # block j works in slot j % len(slots); the window, the slot count, holds
-    # block j + len(slots) back until block j has returned
-    slots = [_buffers(min(step, M), n_items)
-             for _ in range(min(graph.WORKERS, len(starts)))]
 
-    def ranked(j):
-        lo = starts[j]
-        return _ranked_block(reps.readout, dataset, lo, min(lo + step, M), n_max,
-                             *slots[j % len(slots)])
-
-    blocks = graph.ordered_map(ranked, range(len(starts)), window=len(slots))
-    # the hits are written here, in block order
-    for lo, (rows, position, items) in zip(starts, blocks):
+    def hits(lo, hi, buffers):
+        rows, position, items = _ranked_block(reps.readout, dataset, lo, hi, n_max, *buffers)
         keys = (lo + rows) * n_items + items
         found = np.minimum(np.searchsorted(test_keys, keys), test_keys.size - 1)
         hit[lo + rows, position] = test_keys[found] == keys
+
+    graph.span_map(hits, M, step, lambda: _buffers(min(step, M), n_items))
     test_count = np.bincount(dataset.test_pairs[:, 0], minlength=M)
     hit, test_count = hit[test_count > 0], test_count[test_count > 0]
     users = test_count.size

@@ -14,15 +14,19 @@ The heavy passes over every social pair and every adjacency row, and the
 score blocks of `evaluation.evaluate`, run on a thread pool of `WORKERS`
 threads, made on first use: numpy's and scipy's kernels release the
 interpreter lock, and BLAS pinned to one thread leaves the other cores
-idle.  Work is cut so that the worker count never changes a result: a span
-of pairs or rows writes only its own rows of a result, and partial sums
-that must be added, or ranked blocks whose hits must be written, are
-handled by the calling thread in the serial order (`ordered_map`).  With
-one worker, or one span, every span runs inline on the calling thread, in
-order.  The calling thread makes the large buffers that tasks fill, so the
-n x n and block buffers live in its allocator arena, not in one per
-worker; only scipy's sparse products allocate their results in the worker
-that runs them.
+idle.  This module alone cuts the work and makes the buffers, so the
+worker count never changes a result:
+- `span_map` cuts blocks into at most WORKERS contiguous spans, each with
+  its own buffers, for work whose blocks write only their own rows of a
+  result;
+- `ordered_map` runs blocks whose results must be added in the serial
+  order, each in one of a ring of slots, and yields the results in order;
+- `row_split` cuts a CSR product into spans of rows.
+With one worker, or one span, every span runs inline on the calling
+thread, in order.  The calling thread makes the large buffers that tasks
+fill, so the n x n and block buffers live in its allocator arena, not in
+one per worker; only scipy's sparse products allocate their results in the
+worker that runs them.
 
 The pool's size is `worker_count`: the CPUs this process may use divided
 by the BLAS thread count, so the pool takes the cores that BLAS pinned to
@@ -90,22 +94,26 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def ordered_map(fn, items, window: int):
-    """Yield fn(item) for each item of the sequence `items`, in order.  With
-    WORKERS > 1 and several items the calls run on the pool, at most
-    `window` submitted and not yet yielded, so a call may reuse the buffers
-    of the call `window` places before it; otherwise they run inline, one
-    after another."""
+def ordered_map(fn, items, make_slot):
+    """Yield fn(item, slot) for each item of the sequence `items`, in order.
+    The calling thread makes min(2 x WORKERS, len(items)) slots with
+    make_slot(), and item j gets slot j mod slots.  With WORKERS > 1 and
+    several items the calls run on the pool, and item j + slots is
+    submitted only when the caller asks for the result after item j's, so
+    a slot has at most one unfinished call and what item j returns from its
+    slot stays intact until then; otherwise the calls run inline, one after
+    another."""
+    slots = [make_slot() for _ in range(min(2 * WORKERS, len(items)))]
     if WORKERS == 1 or len(items) < 2:
-        for item in items:
-            yield fn(item)
+        for j, item in enumerate(items):
+            yield fn(item, slots[j % len(slots)])
         return
     pool, pending = _executor(), deque()
     try:
-        for item in items:
-            if len(pending) == window:
+        for j, item in enumerate(items):
+            if len(pending) == len(slots):
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
+            pending.append(pool.submit(fn, item, slots[j % len(slots)]))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -126,14 +134,23 @@ def parallel_map(fn, items) -> list:
     return [first] + [future.result() for future in rest]
 
 
-def pair_spans(count: int, block: int):
-    """range(count) cut into at most WORKERS contiguous (lo, hi) spans whose
-    inner edges fall on multiples of `block`, so each span walks whole
-    blocks of the serial loop; one (0, 0) span when count is 0."""
+def span_map(fn, count: int, block: int, make_buffers) -> None:
+    """Call fn(lo, hi, buffers) for each block [lo, hi) of `block` indices
+    of range(count), the last one possibly shorter.  The blocks are cut into at most
+    WORKERS contiguous spans of about equal block counts; the calling
+    thread calls make_buffers() once per span, and each span runs its
+    blocks in ascending order with its own buffers, the spans on the pool
+    (`parallel_map`).  count = 0 calls fn never."""
     blocks = -(-count // block)
-    parts = max(1, min(WORKERS, blocks))
-    edges = [min(count, blocks * k // parts * block) for k in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    parts = min(WORKERS, blocks)
+    edges = [blocks * k // parts * block for k in range(parts)] + [count]
+
+    def run(span):
+        first, last, buffers = span
+        for lo in range(first, last, block):
+            fn(lo, min(lo + block, last), buffers)
+
+    parallel_map(run, [(lo, hi, make_buffers()) for lo, hi in zip(edges, edges[1:])])
 
 
 class EdgeLayout:

@@ -184,9 +184,11 @@ class TestParams:
                            np.zeros(1))
 
     def test_temperature_positive(self):
-        with pytest.raises(ConfigError):
-            DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)),
-                           np.zeros(1), temperature=0.0)
+        # an infinite temperature relaxes every pair to 0.5 + epsilon
+        for t in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite and > 0"):
+                DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)),
+                               np.zeros(1), temperature=t)
 
     def test_observation_bias_range(self):
         with pytest.raises(ConfigError):
@@ -232,8 +234,9 @@ class TestRelaxation:
         assert float(relax(0.5, 1.0, 0.2)) > 1.0 - 1e-10
 
     def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            relax(0.5, 0.5, 0.0)
+        for t in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite and > 0"):
+                relax(0.5, 0.5, t)
 
     def test_mean_over_noise_matches_quadrature(self):
         # MC average over uniform delta against an adaptive quadrature oracle

@@ -1,16 +1,23 @@
-"""The worker pool: its size rule, and that its size never changes a result.
+"""The worker pool: its size rule, the contracts of its primitives, and
+that its size never changes a result.
 
 The all-pair kernels, the propagation products and its SDDMM spans, the
 HSIC kernels and gradient routes, and the ranking blocks run on
 `graph.WORKERS` threads.  Every result here must be bitwise equal at 1, 2
 and 3 workers, and at more workers than this host has cores with the
-interpreter switching threads as often as it can, which would expose a
-span writing outside its rows or a block buffer reused too early.
+interpreter switching threads as often as it can, which exposes a span
+writing outside its rows or adding in another order.  Two spans sharing
+buffers, or a slot reused before its last call's result was taken, corrupt
+a result only when a thread switch falls inside a block, which that test
+cannot force; the contract tests of `graph.span_map` and
+`graph.ordered_map` check those rules without relying on thread timing.
 """
 
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -117,8 +124,10 @@ def test_worker_count_never_changes_a_result(monkeypatch, social):
             sys.setswitchinterval(1e-6 if count == stress else interval)
             with workers(count):
                 for block in (graph.PAIR_BLOCK, graph.SDDMM_BLOCK):
-                    spans = graph.pair_spans(ds.social_pairs.shape[0], block)
-                    assert len(spans) == max(1, min(count, blocks))
+                    spans = []
+                    graph.span_map(lambda lo, hi, buffers: None, ds.social_pairs.shape[0],
+                                   block, lambda: spans.append(None))
+                    assert len(spans) == min(count, blocks)
                 got = results(ds, E, params, batch, deltas, ranked)
         finally:
             sys.setswitchinterval(interval)
@@ -127,9 +136,84 @@ def test_worker_count_never_changes_a_result(monkeypatch, social):
             assert got[key].tobytes() == value.tobytes(), (count, key)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+class TestSpanMap:
+    """Blocks are visited once each, in contiguous ascending spans, each
+    span with its own buffers made on the calling thread."""
+
+    def visits(self, count, total, block):
+        made, calls, lock = [], [], threading.Lock()
+
+        def make_buffers():
+            made.append((threading.get_ident(), object()))
+            return made[-1][1]
+
+        def fn(lo, hi, buffers):
+            with lock:
+                calls.append((lo, hi, buffers))
+
+        with workers(count):
+            graph.span_map(fn, total, block, make_buffers)
+        return made, calls
+
+    @pytest.mark.parametrize("total,block", [(1, 4), (7, 3), (12, 4), (40, 3), (5, 1)])
+    def test_blocks_spans_and_buffers(self, count, total, block):
+        made, calls = self.visits(count, total, block)
+        blocks = -(-total // block)
+        assert [ident for ident, _ in made] == [threading.get_ident()] * min(count, blocks)
+        spans = [[(lo, hi) for lo, hi, buffers in calls if buffers is own] for _, own in made]
+        # every block exactly once, each span's blocks in ascending order,
+        # and the spans contiguous and ascending in the order made
+        assert [b for span in spans for b in span] == [
+            (lo, min(lo + block, total)) for lo in range(0, total, block)]
+        assert all(span for span in spans)
+        assert len(calls) == blocks
+
+    def test_no_count_no_call(self, count):
+        made, calls = self.visits(count, 0, 4)
+        assert made == calls == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+class TestOrderedMap:
+    """Results come in item order; item j works in slot j mod slots, made
+    on the calling thread; a slot has at most one unfinished call, where a
+    call is finished once the caller has taken its result."""
+
+    @pytest.mark.parametrize("items", [1, 2, 5, 13])
+    def test_order_slots_and_window(self, count, items):
+        made, lock = [], threading.Lock()
+        unfinished, most = [0], [0]
+
+        def make_slot():
+            made.append((threading.get_ident(), object()))
+            return made[-1][1]
+
+        def fn(item, slot):
+            with lock:
+                unfinished[0] += 1
+                most[0] = max(most[0], unfinished[0])
+            if item == 0:
+                # hold the first call so the other workers run ahead as far
+                # as the slots let them
+                time.sleep(0.2)
+            return item, slot
+
+        got = []
+        with workers(count):
+            for item, slot in graph.ordered_map(fn, range(items), make_slot):
+                with lock:
+                    unfinished[0] -= 1
+                got.append((item, slot))
+        slots = min(2 * count, items)
+        assert [ident for ident, _ in made] == [threading.get_ident()] * slots
+        assert got == [(j, made[j % slots][1]) for j in range(items)]
+        assert most[0] <= slots
+
+
 def test_ranking_memory_is_bounded():
     # eval-full's shape: 2000 users x 2000 items, so 8 blocks of 262 users
-    # in 2 slots.  Blocks made in the workers, or full-size partition
+    # in 2 spans.  Blocks made in the workers, or full-size partition
     # copies, take over 4 x SCORE_BLOCK_BYTES at 2 workers
     rng = np.random.default_rng(7)
     M = N = 2000
