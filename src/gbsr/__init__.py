@@ -6,4 +6,6 @@ representations from simply copying the raw graph, and a multi-layer
 propagation backbone turns the result into top-N item rankings.
 """
 
+from . import graph  # noqa: F401  (importing graph pins BLAS to one thread)
+
 __version__ = "0.1.0"

@@ -85,7 +85,7 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
     values.
     """
     degrees, dinv, operator = renormalize(rho.data, layout)
-    multiply = graph.row_split(operator)
+    multiply = graph.row_split(operator, embeddings.data.shape[1])
     states, readout = layer_readout(embeddings.data, layers, multiply)
 
     def backward(G):
@@ -118,7 +118,8 @@ def propagate(rho: ad.Tensor, embeddings: ad.Tensor,
             np.einsum("kd,kd->k", x1, x2, out=pair[lo:hi])
 
         graph.span_map(sddmm_block, n, graph.SDDMM_BLOCK,
-                       lambda: (np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))))
+                       lambda: (np.empty((block, Z1.shape[1])), np.empty((block, Z2.shape[1]))),
+                       n * Z1.shape[1])
         return pair * dinv[a] * dinv[b] + g_degree[a] + g_degree[b], g
 
     return ad._make(readout, (rho, embeddings), backward)
@@ -130,6 +131,6 @@ def forward(table: EmbeddingTable, adj: WeightedAdjacency) -> NodeRepresentation
             f"embedding matrix has {table.matrix.shape[0]} rows but the graph has "
             f"{adj.node_count} nodes")
     states, readout = layer_readout(table.matrix, table.layer_count,
-                                    graph.row_split(adj.operator))
+                                    graph.row_split(adj.operator, table.matrix.shape[1]))
     return NodeRepresentations(states, readout, adj.layout.user_count)
 

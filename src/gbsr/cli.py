@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from . import data as data_mod
 from . import denoiser as denoiser_mod
-from . import evaluation, trainer
+from . import evaluation, graph, trainer
 from .errors import CheckpointError, ConfigError, DataError, GbsrError, NumericError
 from .ioutil import atomic_write_text
 
@@ -154,6 +154,9 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: List[str]) -> None:
                    "checkpoint": cfg.checkpoint, "split_ratio": cfg.split_ratio},
         "seeds": list(cfg.seed),
         "outputs": sorted(outputs),
+        # the thread counts the run had; neither changes a result
+        "blas_threads": graph.BLAS_THREADS,
+        "workers": graph.WORKERS,
     }
     if command == "synth":  # the other commands read edge files
         manifest["synthetic"] = {k: getattr(cfg.synthetic, k) for k in _SYNTH_KEYS}

@@ -156,8 +156,9 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
         hidden(lo, hi, x, y, x, y, h)
         expit((h @ W2.data + b2.data).reshape(-1), out=out[lo:hi])
 
+    # the work counted is each pair's (e_a * e_b) Wc product
     graph.span_map(forward_block, n, graph.PAIR_BLOCK,
-                   lambda: [np.empty((block, d)) for _ in range(3)])
+                   lambda: [np.empty((block, d)) for _ in range(3)], n * d * d)
 
     def backward(g):
         s = g * out * (1.0 - out)
@@ -185,11 +186,12 @@ def confidences(embeddings: ad.Tensor, head, layout: EdgeLayout) -> ad.Tensor:
             return (pW2, pWc, users_a, to_a @ u, to_a @ eb,
                     users_b, to_b @ u, to_b @ ea)
 
-        # the partials are added here, in block order, as the serial loop adds them
+        # the partials are added here, in block order, as the serial loop
+        # adds them; the work counted is each pair's three d x d products
         for pW2, pWc, users_a, ua, qa, users_b, ub, qb in graph.ordered_map(
                 backward_block, layout.pair_blocks(),
                 lambda: ([np.empty((block, d)) for _ in range(5)],
-                         np.empty((d, 1)), np.empty((d, d)))):
+                         np.empty((d, 1)), np.empty((d, d))), 3 * n * d * d):
             gW2 += pW2
             gWc += pWc
             ga[users_a] += ua

@@ -111,11 +111,17 @@ def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
     return rows[keep], position[keep], items[keep]
 
 
+def _check_cutoffs(cutoffs: Tuple[int, ...]) -> None:
+    """Raise DataError unless there is a cutoff and every one is a positive
+    integer, Python's or numpy's."""
+    if not cutoffs or any(not isinstance(n, (int, np.integer)) or n < 1 for n in cutoffs):
+        raise DataError(f"cutoffs must be positive integers, got {cutoffs}")
+
+
 def rank_user(reps: NodeRepresentations, dataset: Dataset, user: int,
               cutoff: int) -> np.ndarray:
     """Top `cutoff` candidate items for the user, best first."""
-    if cutoff < 1:
-        raise DataError(f"cutoff must be >= 1, got {cutoff}")
+    _check_cutoffs((cutoff,))
     _check_readout(reps, dataset)
     if not (0 <= user < dataset.user_count):
         raise DataError(f"user id {user} outside [0, {dataset.user_count})")
@@ -132,8 +138,7 @@ def require_test_pairs(dataset: Dataset) -> None:
 def evaluate(reps: NodeRepresentations, dataset: Dataset,
              cutoffs: Sequence[int] = (10, 20)) -> MetricsReport:
     cutoffs = tuple(cutoffs)
-    if not cutoffs or any(n < 1 for n in cutoffs):
-        raise DataError(f"cutoffs must be positive, got {cutoffs}")
+    _check_cutoffs(cutoffs)
     require_test_pairs(dataset)
     _check_readout(reps, dataset)
     n_max = max(cutoffs)
@@ -148,7 +153,9 @@ def evaluate(reps: NodeRepresentations, dataset: Dataset,
         found = np.minimum(np.searchsorted(test_keys, keys), test_keys.size - 1)
         hit[lo + rows, position] = test_keys[found] == keys
 
-    graph.span_map(hits, M, step, lambda: _buffers(min(step, M), n_items))
+    # the work counted is the score products
+    graph.span_map(hits, M, step, lambda: _buffers(min(step, M), n_items),
+                   M * n_items * reps.readout.shape[1])
     test_count = np.bincount(dataset.test_pairs[:, 0], minlength=M)
     hit, test_count = hit[test_count > 0], test_count[test_count > 0]
     users = test_count.size

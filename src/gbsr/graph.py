@@ -28,19 +28,31 @@ fill, so the n x n and block buffers live in its allocator arena, not in
 one per worker; only scipy's sparse products allocate their results in the
 worker that runs them.
 
-The pool's size is `worker_count`: the CPUs this process may use divided
-by the BLAS thread count, so the pool takes the cores that BLAS pinned to
-one thread leaves idle, and gets one worker when BLAS is not pinned.
+A call too small to pay for the hand-off runs in fewer spans: every span
+of `span_map` and `row_split` gets at least MIN_SPAN_WORK multiply-adds of
+the call's work (`span_count`), and `ordered_map` and `parallel_map` keep a
+call below two spans' worth on the calling thread.  The work is read from
+the call's sizes, never from timings, so the spans too are fixed by the
+inputs and WORKERS.
+
+Importing this module pins numpy's and scipy's bundled OpenBLAS to one
+thread (`pin_blas`), so a BLAS product is the same sum on every machine and
+in every process.  The pool's size is `worker_count` of the CPUs this
+process may use and the thread count BLAS reports back: the cores that one
+BLAS thread leaves idle.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .data import Dataset
@@ -55,24 +67,51 @@ PAIR_BLOCK = 2048
 # 2 L dim wide; 2048-pair blocks of those rows spill the cache
 SDDMM_BLOCK = 128
 
-# the variables the BLAS libraries numpy may link read their thread count from
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# multiply-adds a span must get before a call is cut into another one; a
+# criterion-5-size graph (400 nodes, ~1.6k social pairs) stays below two
+# spans' worth in every primitive, and the benchmark sizes keep the spans
+# they had without a floor (tests/test_workers.py::TestWorkFloor)
+MIN_SPAN_WORK = 1 << 20
+# (setter, getter) of the thread count of each OpenBLAS numpy or scipy wheels
+# bundle: numpy's 64-bit-integer build, then scipy's
+BLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
 
 
-def worker_count(environ, cpus: int) -> int:
-    """Pool threads for a process that may use `cpus` CPUs: the CPUs divided
-    by the BLAS thread count, at least 1.  The BLAS thread count is the
-    largest positive integer among BLAS_THREAD_VARIABLES in `environ`; when
-    none holds one, BLAS takes every CPU and the pool gets 1 worker, because
-    threads of both kinds on the same cores made steps slower."""
-    counts = []
-    for name in BLAS_THREAD_VARIABLES:
-        try:
-            counts.append(int(environ.get(name, "")))
-        except ValueError:
-            pass
-    blas = max((c for c in counts if c > 0), default=cpus)
-    return max(1, cpus // blas)
+def pin_blas():
+    """Set every OpenBLAS bundled with numpy or scipy (in the wheels'
+    `numpy.libs` or `numpy/.dylibs`) to one thread; return the largest
+    thread count they report back, or None when no such library exports a
+    known setter (another BLAS build)."""
+    reported = []
+    for module in (np, scipy):
+        home = os.path.dirname(module.__file__)
+        for path in sorted(glob.glob(home + ".libs/*openblas*")
+                           + glob.glob(home + "/.dylibs/*openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for set_name, get_name in BLAS_THREAD_CALLS:
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter(1)
+                    reported.append(getter())
+                    break
+    return max(reported, default=None)
+
+
+def worker_count(cpus: int, blas_threads) -> int:
+    """Pool threads for a process that may use `cpus` CPUs while BLAS runs
+    `blas_threads` threads: the CPUs divided by the BLAS threads, at least
+    1; 1 when the BLAS thread count is unknown (None)."""
+    if blas_threads is None:
+        return 1
+    return max(1, cpus // blas_threads)
 
 
 def _cpu_count() -> int:
@@ -81,7 +120,8 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-WORKERS = worker_count(os.environ, _cpu_count())
+BLAS_THREADS = pin_blas()
+WORKERS = worker_count(_cpu_count(), BLAS_THREADS)
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -94,17 +134,26 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def ordered_map(fn, items, make_slot):
-    """Yield fn(item, slot) for each item of the sequence `items`, in order.
-    The calling thread makes min(2 x WORKERS, len(items)) slots with
-    make_slot(), and item j gets slot j mod slots.  With WORKERS > 1 and
-    several items the calls run on the pool, and item j + slots is
-    submitted only when the caller asks for the result after item j's, so
-    a slot has at most one unfinished call and what item j returns from its
-    slot stays intact until then; otherwise the calls run inline, one after
-    another."""
-    slots = [make_slot() for _ in range(min(2 * WORKERS, len(items)))]
-    if WORKERS == 1 or len(items) < 2:
+def span_count(work: int, most: int) -> int:
+    """Spans for a call of `work` multiply-adds that can be cut at most
+    `most` ways: at most WORKERS, and no more than give each span
+    MIN_SPAN_WORK, but 1 for a smaller call (and 0 when most is 0)."""
+    return min(WORKERS, most, max(1, work // MIN_SPAN_WORK))
+
+
+def ordered_map(fn, items, make_slot, work: int):
+    """Yield fn(item, slot) for each item of the sequence `items`, in order;
+    `work` is the multiply-adds of all the calls.  With
+    spans = span_count(work, len(items)), the calling thread makes
+    min(2 x spans, len(items)) slots with make_slot(), and item j gets slot
+    j mod slots.  With two spans or more the calls run on the pool, and
+    item j + slots is submitted only when the caller asks for the result
+    after item j's, so a slot has at most one unfinished call and what item
+    j returns from its slot stays intact until then; otherwise the calls run
+    inline, one after another."""
+    spans = span_count(work, len(items))
+    slots = [make_slot() for _ in range(min(2 * spans, len(items)))]
+    if spans < 2:
         for j, item in enumerate(items):
             yield fn(item, slots[j % len(slots)])
         return
@@ -120,11 +169,13 @@ def ordered_map(fn, items, make_slot):
         wait(pending)
 
 
-def parallel_map(fn, items) -> list:
-    """[fn(item) for item in items], the calls spread over the pool; the
-    calling thread runs the first one itself instead of waiting idle."""
+def parallel_map(fn, items, work: int) -> list:
+    """[fn(item) for item in items], where `work` is the multiply-adds of
+    all the calls.  With span_count(work, len(items)) >= 2 the calls are
+    spread over the pool, the calling thread running the first one itself
+    instead of waiting idle; otherwise they run inline, in order."""
     items = list(items)
-    if WORKERS == 1 or len(items) < 2:
+    if span_count(work, len(items)) < 2:
         return [fn(item) for item in items]
     rest = [_executor().submit(fn, item) for item in items[1:]]
     try:
@@ -134,15 +185,16 @@ def parallel_map(fn, items) -> list:
     return [first] + [future.result() for future in rest]
 
 
-def span_map(fn, count: int, block: int, make_buffers) -> None:
+def span_map(fn, count: int, block: int, make_buffers, work: int) -> None:
     """Call fn(lo, hi, buffers) for each block [lo, hi) of `block` indices
-    of range(count), the last one possibly shorter.  The blocks are cut into at most
-    WORKERS contiguous spans of about equal block counts; the calling
-    thread calls make_buffers() once per span, and each span runs its
-    blocks in ascending order with its own buffers, the spans on the pool
-    (`parallel_map`).  count = 0 calls fn never."""
+    of range(count), the last one possibly shorter; `work` is the
+    multiply-adds of all the blocks.  The blocks are cut into
+    span_count(work, blocks) contiguous spans of about equal block counts;
+    the calling thread calls make_buffers() once per span, and each span
+    runs its blocks in ascending order with its own buffers, the spans on
+    the pool (`parallel_map`).  count = 0 calls fn never."""
     blocks = -(-count // block)
-    parts = min(WORKERS, blocks)
+    parts = span_count(work, blocks)
     edges = [blocks * k // parts * block for k in range(parts)] + [count]
 
     def run(span):
@@ -150,7 +202,7 @@ def span_map(fn, count: int, block: int, make_buffers) -> None:
         for lo in range(first, last, block):
             fn(lo, min(lo + block, last), buffers)
 
-    parallel_map(run, [(lo, hi, make_buffers()) for lo, hi in zip(edges, edges[1:])])
+    parallel_map(run, [(lo, hi, make_buffers()) for lo, hi in zip(edges, edges[1:])], work)
 
 
 class EdgeLayout:
@@ -232,17 +284,25 @@ def renormalize(social_weights: np.ndarray, layout: EdgeLayout):
     return degrees, dinv, operator
 
 
-def row_split(operator: sp.csr_matrix):
-    """The product X -> operator @ X of a CSR operator, run as one product
-    per span of rows, at most WORKERS spans of about equal nonzero counts;
-    with one span it is the operator's own product.
+def row_bounds(indptr: np.ndarray, parts: int) -> np.ndarray:
+    """First row of each of at most `parts` spans of rows of a CSR matrix
+    with row pointer `indptr`, the spans of about equal nonzero counts,
+    then the row count."""
+    targets = np.arange(1, parts) * indptr[-1] // parts
+    return np.unique(np.concatenate([[0], np.searchsorted(indptr, targets), [indptr.size - 1]]))
+
+
+def row_split(operator: sp.csr_matrix, columns: int):
+    """The product X -> operator @ X of a CSR operator for X of `columns`
+    columns, run as one product per span of rows (`row_bounds`), in
+    span_count(nonzeros x columns, rows) spans; with one span it is the
+    operator's own product.
     A CSR product sums each output row over that row's entries in order, so
     every row is the same sum as in the whole product.  The spans' CSR views
     share the operator's arrays and are built here, once per operator."""
     indptr, rows = operator.indptr, operator.shape[0]
-    targets = np.arange(1, WORKERS) * operator.nnz // WORKERS
-    bounds = np.unique(np.concatenate([[0], np.searchsorted(indptr, targets), [rows]]))
-    if bounds.size == 2:
+    bounds = row_bounds(indptr, span_count(operator.nnz * columns, rows))
+    if bounds.size <= 2:
         return operator.__matmul__
     views = [sp.csr_matrix((operator.data[indptr[r0]:indptr[r1]],
                             operator.indices[indptr[r0]:indptr[r1]],
@@ -257,7 +317,7 @@ def row_split(operator: sp.csr_matrix):
             r0, r1, view = span
             out[r0:r1] = view @ X
 
-        parallel_map(span_product, zip(bounds[:-1], bounds[1:], views))
+        parallel_map(span_product, zip(bounds[:-1], bounds[1:], views), operator.nnz * columns)
         return out
 
     return product

@@ -117,16 +117,20 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     kernel's buffer, GRADIENT_CHUNK_ROWS rows at a time, and every side's
     chunk is taken from intact rows before any is written back, so no n x n
     buffer is made.  The sides' routes then run concurrently on the worker
-    pool, and the calling thread makes each full-size gradient.
+    pool (`graph.parallel_map`, when the kernels are large enough), and the
+    calling thread makes each full-size gradient.
     """
     users = np.unique(np.asarray(batch_users, dtype=np.int64))
     if users.size < 2:
         raise DataError("HSIC needs at least 2 distinct users in the batch")
     n = users.size
-    # the two kernels are built concurrently, each into a buffer made here
+    # the two kernels are built concurrently, each into a buffer made here.
+    # The work counted is the kernels' entries, not the n^2 d multiply-adds
+    # of their BLAS products, which cost a fraction of a gathered or sparse
+    # one's: a kernel's elementwise passes set its time
     (Kxc, x_saved), (Kyc, y_saved) = graph.parallel_map(
         lambda task: _side(*task, users, sigma_sq, normalize),
-        [(T, np.empty((n, n))) for T in (X, Y)])
+        [(T, np.empty((n, n))) for T in (X, Y)], 2 * n * n)
     value = _dependence(Kxc, Kyc)
 
     def route(saved, full, scale):
@@ -151,7 +155,8 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
                       for (*_, K, c), other, _ in live]
             for ((*_, K, _), _, _), G in zip(live, chunks):
                 K[lo:hi] = G
-        graph.parallel_map(lambda side: route(side[0], side[2], scale), live)
+        graph.parallel_map(lambda side: route(side[0], side[2], scale), live,
+                           len(live) * n * n)
         return tuple(full for _, _, full in sides)
 
     return ad._make(value, (X, Y), backward)

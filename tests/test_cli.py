@@ -10,6 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
+from gbsr import graph
 from gbsr.cli import RunConfig, build_parser, main, read_config_file
 from gbsr.data import (SyntheticSpec, generate_synthetic, interactions_text,
                        noise_labels_text, social_text)
@@ -97,6 +98,21 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
         assert "synthetic" not in manifest
+
+    @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "export-confidence"])
+    def test_manifest_records_the_thread_counts(self, train_dir, data_dir, tmp_path,
+                                                command):
+        out = {"synth": data_dir, "train": train_dir}.get(command, tmp_path)
+        if out is tmp_path:
+            assert main([command, "--checkpoint", str(train_dir / "checkpoint_seed0.bin"),
+                         "--interactions", str(data_dir / "interactions.tsv"),
+                         "--social", str(data_dir / "social.tsv"),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # what the BLAS getter reported (null without a known setter) and the pool size
+        assert manifest["blas_threads"] == graph.BLAS_THREADS
+        assert manifest["workers"] == graph.WORKERS >= 1
+        assert manifest["blas_threads"] in (None, 1)
 
     def test_defaults_are_the_spec_defaults(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == 0

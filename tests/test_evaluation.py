@@ -268,6 +268,20 @@ class TestEdges:
         with pytest.raises(DataError):
             rank_user(reps, ds, 0, 0)
 
+    @pytest.mark.parametrize("cutoff", [2.5, 2.0, "2", None])
+    def test_cutoff_that_is_not_an_integer(self, cutoff):
+        # TrainConfig's rule: a data error, not numpy's TypeError
+        reps, ds = one_user([0.5, 0.4], test=[0])
+        with pytest.raises(DataError, match="positive integers"):
+            evaluate(reps, ds, (cutoff,))
+        with pytest.raises(DataError, match="positive integers"):
+            rank_user(reps, ds, 0, cutoff)
+
+    def test_numpy_integer_cutoffs(self):
+        reps, ds = one_user([0.5, 0.4], test=[0])
+        assert evaluate(reps, ds, (np.int64(1),)).recall == {1: 1.0}
+        assert rank_user(reps, ds, 0, np.int64(1)).tolist() == [0]
+
     def test_all_items_in_train(self):
         reps, ds = one_user([0.5, 0.4], train=[0, 1])
         assert rank_user(reps, ds, 0, 5).size == 0
