@@ -113,8 +113,9 @@ def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
 
 def _check_cutoffs(cutoffs: Tuple[int, ...]) -> None:
     """Raise DataError unless there is a cutoff and every one is a positive
-    integer, Python's or numpy's."""
-    if not cutoffs or any(not isinstance(n, (int, np.integer)) or n < 1 for n in cutoffs):
+    integer, Python's or numpy's, and not a bool."""
+    if not cutoffs or any(not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1
+                          for n in cutoffs):
         raise DataError(f"cutoffs must be positive integers, got {cutoffs}")
 
 

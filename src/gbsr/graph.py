@@ -10,30 +10,26 @@ one place that turns a social weight vector into that operator: training's
 `backbone.propagate` runs it inside its fused tape op and `build_adjacency`
 runs it for evaluation.
 
-The heavy passes over every social pair and every adjacency row, and the
-score blocks of `evaluation.evaluate`, run on a thread pool of `WORKERS`
-threads, made on first use: numpy's and scipy's kernels release the
-interpreter lock, and BLAS pinned to one thread leaves the other cores
-idle.  This module alone cuts the work and makes the buffers, so the
-worker count never changes a result:
-- `span_map` cuts blocks into at most WORKERS contiguous spans, each with
-  its own buffers, for work whose blocks write only their own rows of a
-  result;
-- `ordered_map` runs blocks whose results must be added in the serial
-  order, each in one of a ring of slots, and yields the results in order;
-- `row_split` cuts a CSR product into spans of rows.
-With one worker, or one span, every span runs inline on the calling
-thread, in order.  The calling thread makes the large buffers that tasks
+The heavy passes over every social pair and every adjacency row, the HSIC
+kernels and the score blocks of `evaluation.evaluate` run on a thread
+pool of `WORKERS` threads, made on first use: numpy's and scipy's kernels
+release the interpreter lock, and BLAS pinned to one thread leaves the
+other cores idle.  This module alone cuts the work and makes the buffers,
+so the worker count never changes a result.  `ordered_map` is the one
+function that hands work to the pool, under the rules its docstring
+states, and two helpers are built on it: `span_map` cuts blocks into
+contiguous spans, each with its own buffers, for work whose blocks write
+only their own rows of a result, and `row_split` cuts a CSR product into
+spans of rows.  The calling thread makes the large buffers that tasks
 fill, so the n x n and block buffers live in its allocator arena, not in
 one per worker; only scipy's sparse products allocate their results in the
 worker that runs them.
 
-A call too small to pay for the hand-off runs in fewer spans: every span
-of `span_map` and `row_split` gets at least MIN_SPAN_WORK multiply-adds of
-the call's work (`span_count`), and `ordered_map` and `parallel_map` keep a
-call below two spans' worth on the calling thread.  The work is read from
-the call's sizes, never from timings, so the spans too are fixed by the
-inputs and WORKERS.
+Every span of `span_map` and `row_split` gets at least MIN_SPAN_WORK
+multiply-adds of the call's work (`span_count`), so a call too small to pay
+for the hand-off runs in fewer spans, or inline.  The work is read from the
+call's sizes, never from timings, so the spans too are fixed by the inputs
+and WORKERS.
 
 Importing this module pins numpy's and scipy's bundled OpenBLAS to one
 thread (`pin_blas`), so a BLAS product is the same sum on every machine and
@@ -143,14 +139,16 @@ def span_count(work: int, most: int) -> int:
 
 def ordered_map(fn, items, make_slot, work: int):
     """Yield fn(item, slot) for each item of the sequence `items`, in order;
-    `work` is the multiply-adds of all the calls.  With
-    spans = span_count(work, len(items)), the calling thread makes
-    min(2 x spans, len(items)) slots with make_slot(), and item j gets slot
-    j mod slots.  With two spans or more the calls run on the pool, and
-    item j + slots is submitted only when the caller asks for the result
-    after item j's, so a slot has at most one unfinished call and what item
-    j returns from its slot stays intact until then; otherwise the calls run
-    inline, one after another."""
+    `work` is the multiply-adds of all the calls.  This is the one function
+    that hands work to the pool, and its rules are these:
+    - with spans = span_count(work, len(items)), the calling thread makes
+      min(2 x spans, len(items)) slots with make_slot(), and item j gets
+      slot j mod slots;
+    - the results come back in item order, and item j + slots is submitted
+      only when the caller asks for the result after item j's, so a slot
+      has at most one unfinished call and what item j returns from its slot
+      stays intact until then;
+    - a call below two spans' work runs inline, one item after another."""
     spans = span_count(work, len(items))
     slots = [make_slot() for _ in range(min(2 * spans, len(items)))]
     if spans < 2:
@@ -169,40 +167,25 @@ def ordered_map(fn, items, make_slot, work: int):
         wait(pending)
 
 
-def parallel_map(fn, items, work: int) -> list:
-    """[fn(item) for item in items], where `work` is the multiply-adds of
-    all the calls.  With span_count(work, len(items)) >= 2 the calls are
-    spread over the pool, the calling thread running the first one itself
-    instead of waiting idle; otherwise they run inline, in order."""
-    items = list(items)
-    if span_count(work, len(items)) < 2:
-        return [fn(item) for item in items]
-    rest = [_executor().submit(fn, item) for item in items[1:]]
-    try:
-        first = fn(items[0])
-    finally:
-        wait(rest)
-    return [first] + [future.result() for future in rest]
-
-
 def span_map(fn, count: int, block: int, make_buffers, work: int) -> None:
     """Call fn(lo, hi, buffers) for each block [lo, hi) of `block` indices
     of range(count), the last one possibly shorter; `work` is the
     multiply-adds of all the blocks.  The blocks are cut into
-    span_count(work, blocks) contiguous spans of about equal block counts;
-    the calling thread calls make_buffers() once per span, and each span
-    runs its blocks in ascending order with its own buffers, the spans on
-    the pool (`parallel_map`).  count = 0 calls fn never."""
+    span_count(work, blocks) contiguous spans of about equal block counts,
+    run as the items of `ordered_map`: there are as many slots as spans,
+    each slot is one span's buffers from make_buffers(), and each span runs
+    its blocks in ascending order.  count = 0 calls fn never."""
     blocks = -(-count // block)
     parts = span_count(work, blocks)
     edges = [blocks * k // parts * block for k in range(parts)] + [count]
 
-    def run(span):
-        first, last, buffers = span
+    def run(span, buffers):
+        first, last = span
         for lo in range(first, last, block):
             fn(lo, min(lo + block, last), buffers)
 
-    parallel_map(run, [(lo, hi, make_buffers()) for lo, hi in zip(edges, edges[1:])], work)
+    for _ in ordered_map(run, list(zip(edges, edges[1:])), make_buffers, work):
+        pass
 
 
 class EdgeLayout:
@@ -295,8 +278,8 @@ def row_bounds(indptr: np.ndarray, parts: int) -> np.ndarray:
 def row_split(operator: sp.csr_matrix, columns: int):
     """The product X -> operator @ X of a CSR operator for X of `columns`
     columns, run as one product per span of rows (`row_bounds`), in
-    span_count(nonzeros x columns, rows) spans; with one span it is the
-    operator's own product.
+    span_count(nonzeros x columns, rows) spans, each an `ordered_map` item;
+    with one span it is the operator's own product.
     A CSR product sums each output row over that row's entries in order, so
     every row is the same sum as in the whole product.  The spans' CSR views
     share the operator's arrays and are built here, once per operator."""
@@ -304,20 +287,21 @@ def row_split(operator: sp.csr_matrix, columns: int):
     bounds = row_bounds(indptr, span_count(operator.nnz * columns, rows))
     if bounds.size <= 2:
         return operator.__matmul__
-    views = [sp.csr_matrix((operator.data[indptr[r0]:indptr[r1]],
-                            operator.indices[indptr[r0]:indptr[r1]],
-                            indptr[r0:r1 + 1] - indptr[r0]),
-                           shape=(r1 - r0, operator.shape[1]))
+    spans = [(r0, r1, sp.csr_matrix((operator.data[indptr[r0]:indptr[r1]],
+                                     operator.indices[indptr[r0]:indptr[r1]],
+                                     indptr[r0:r1 + 1] - indptr[r0]),
+                                    shape=(r1 - r0, operator.shape[1])))
              for r0, r1 in zip(bounds[:-1], bounds[1:])]
 
     def product(X: np.ndarray) -> np.ndarray:
         out = np.empty((rows, X.shape[1]))
 
-        def span_product(span):
+        def span_product(span, _):
             r0, r1, view = span
             out[r0:r1] = view @ X
 
-        parallel_map(span_product, zip(bounds[:-1], bounds[1:], views), operator.nnz * columns)
+        for _ in ordered_map(span_product, spans, lambda: None, operator.nnz * columns):
+            pass
         return out
 
     return product

@@ -22,10 +22,11 @@ buffer from its product to its centering:
   symmetric K and exactly 0 for a constant one;
 - the value is one BLAS dot of the two centered kernels.
 
-The forward builds the two kernels concurrently on `graph`'s worker pool,
-each into an n x n buffer the calling thread makes.  The backward makes no
-n x n buffer: it overwrites each kernel that a gradient route needs with
-that route's G, in row chunks, and runs the routes concurrently.
+The forward builds the two kernels as the two items of `graph.ordered_map`,
+each into its own n x n slot, which the calling thread makes.  The backward
+makes no n x n buffer: it overwrites each kernel that a gradient route needs
+with that route's G, in row chunks, and runs the routes through
+`graph.ordered_map` too.
 
 Kernel rows are L2-normalized first by default, which puts squared distances
 on the [0, 4] scale regardless of embedding magnitude.
@@ -116,21 +117,22 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
     only when Y carries a gradient.  Each side's G is written into its own
     kernel's buffer, GRADIENT_CHUNK_ROWS rows at a time, and every side's
     chunk is taken from intact rows before any is written back, so no n x n
-    buffer is made.  The sides' routes then run concurrently on the worker
-    pool (`graph.parallel_map`, when the kernels are large enough), and the
-    calling thread makes each full-size gradient.
+    buffer is made.  The sides' routes then run as the items of
+    `graph.ordered_map` (concurrently, when the kernels are large enough),
+    and the calling thread makes each full-size gradient.
     """
     users = np.unique(np.asarray(batch_users, dtype=np.int64))
     if users.size < 2:
         raise DataError("HSIC needs at least 2 distinct users in the batch")
     n = users.size
-    # the two kernels are built concurrently, each into a buffer made here.
-    # The work counted is the kernels' entries, not the n^2 d multiply-adds
-    # of their BLAS products, which cost a fraction of a gathered or sparse
-    # one's: a kernel's elementwise passes set its time
-    (Kxc, x_saved), (Kyc, y_saved) = graph.parallel_map(
-        lambda task: _side(*task, users, sigma_sq, normalize),
-        [(T, np.empty((n, n))) for T in (X, Y)], 2 * n * n)
+    # two items get min(2 x spans, 2) = 2 slots, so each kernel has its own
+    # buffer even when the two run inline.  The work counted is the
+    # kernels' entries, not the n^2 d multiply-adds of their BLAS products,
+    # which cost a fraction of a gathered or sparse one's: a kernel's
+    # elementwise passes set its time
+    (Kxc, x_saved), (Kyc, y_saved) = graph.ordered_map(
+        lambda T, K: _side(T, K, users, sigma_sq, normalize), (X, Y),
+        lambda: np.empty((n, n)), 2 * n * n)
     value = _dependence(Kxc, Kyc)
 
     def route(saved, full, scale):
@@ -155,8 +157,9 @@ def bottleneck(X: ad.Tensor, Y: ad.Tensor, batch_users, sigma_sq: float,
                       for (*_, K, c), other, _ in live]
             for ((*_, K, _), _, _), G in zip(live, chunks):
                 K[lo:hi] = G
-        graph.parallel_map(lambda side: route(side[0], side[2], scale), live,
-                           len(live) * n * n)
+        for _ in graph.ordered_map(lambda side, _: route(side[0], side[2], scale), live,
+                                   lambda: None, len(live) * n * n):
+            pass
         return tuple(full for _, _, full in sides)
 
     return ad._make(value, (X, Y), backward)

@@ -80,12 +80,12 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (layout.social_count,):
         raise DataError("delta vector must align with the social pairs")
-    if beta < 0.0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    if reg_lambda < 0.0:
-        raise ConfigError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    if beta > 0.0 and not (sigma_sq > 0.0):
-        raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
+    # TrainConfig's comparisons, which also reject NaN and infinities
+    for name, value in (("beta", beta), ("reg_lambda", reg_lambda)):
+        if not (0.0 <= value < np.inf):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    if not (0.0 < sigma_sq < np.inf):
+        raise ConfigError(f"sigma_sq must be finite and > 0, got {sigma_sq}")
 
     M = layout.user_count
     E0 = ad.Tensor(embeddings, requires_grad=with_grads)

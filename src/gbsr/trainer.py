@@ -87,7 +87,9 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.cutoffs or any((not isinstance(n, int)) or n < 1 for n in self.cutoffs):
+        # a bool is an int, but True is no cutoff
+        if not self.cutoffs or any(not isinstance(n, int) or isinstance(n, bool) or n < 1
+                                   for n in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
         if not (0.0 <= self.validation_ratio < 1.0):
             raise ConfigError(f"validation_ratio must lie in [0, 1), got {self.validation_ratio}")

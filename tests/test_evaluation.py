@@ -268,7 +268,7 @@ class TestEdges:
         with pytest.raises(DataError):
             rank_user(reps, ds, 0, 0)
 
-    @pytest.mark.parametrize("cutoff", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("cutoff", [2.5, 2.0, "2", None, True])
     def test_cutoff_that_is_not_an_integer(self, cutoff):
         # TrainConfig's rule: a data error, not numpy's TypeError
         reps, ds = one_user([0.5, 0.4], test=[0])

@@ -159,10 +159,15 @@ class TestTotalLoss:
 
     def test_negative_knobs_rejected(self):
         ds, layout, E, params, batch, deltas = make_instance()
-        for knobs in (dict(beta=-1.0, reg_lambda=0.0), dict(beta=0.0, reg_lambda=-1.0)):
-            with pytest.raises(ConfigError):
-                gradients(E, params, layout, batch, deltas, layers=2,
-                          sigma_sq=1.0, **knobs)
+        nan, inf = float("nan"), float("inf")
+        # NaN and infinite weights are config errors naming the key: a NaN
+        # beta would otherwise drop the bottleneck, and an infinite sigma_sq
+        # flatten both kernels to ib_loss 0
+        bad = [(name, value) for name in ("beta", "reg_lambda") for value in (-1.0, nan, inf)]
+        for name, value in bad + [("sigma_sq", value) for value in (0.0, nan, inf)]:
+            knobs = {"beta": 0.5, "reg_lambda": 0.0, "sigma_sq": 1.0, name: value}
+            with pytest.raises(ConfigError, match=name):
+                gradients(E, params, layout, batch, deltas, layers=2, **knobs)
 
 
 class TestDualRoute:

@@ -47,7 +47,7 @@ class TestConfig:
         {"patience": 0}, {"cutoffs": ()}, {"cutoffs": (0,)},
         {"validation_ratio": 1.0}, {"learning_rate": float("nan")},
         {"reg_lambda": float("nan")}, {"beta": float("nan")},
-    ] + [{k: v} for k, v in OUT_OF_DOMAIN])
+    ] + [{k: v} for k, v in OUT_OF_DOMAIN] + [{"cutoffs": (True, 20)}])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)

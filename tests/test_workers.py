@@ -9,8 +9,8 @@ interpreter switching threads as often as it can, which exposes a span
 writing outside its rows or adding in another order.  Two spans sharing
 buffers, or a slot reused before its last call's result was taken, corrupt
 a result only when a thread switch falls inside a block, which that test
-cannot force; the contract tests of `graph.span_map` and
-`graph.ordered_map` check those rules without relying on thread timing.
+cannot force; the contract tests of `graph.span_map`, `graph.ordered_map`
+and `graph.row_split` check those rules without relying on thread timing.
 """
 
 import functools
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gbsr import backbone, evaluation, graph, hsic
 from gbsr.backbone import NodeRepresentations
@@ -228,6 +229,60 @@ class TestOrderedMap:
         self.test_order_slots_and_window(count, items, 2 * graph.MIN_SPAN_WORK // items - 1)
 
 
+def row_split_operator(name):
+    """A CSR operator at one edge of `row_bounds`' cut."""
+    rng = np.random.default_rng(9)
+    if name == "empty_rows":
+        dense = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.6)
+        dense[[0, 3, 4, 8]] = 0.0
+    elif name == "one_heavy_row":
+        # row 2 holds 40 of 45 nonzeros, so the bounds a third and two
+        # thirds of the way through the nonzeros both fall on row 3
+        dense = np.zeros((6, 40))
+        dense[np.arange(6), np.arange(6)] = rng.standard_normal(6)
+        dense[2] = rng.standard_normal(40)
+    else:
+        dense = rng.standard_normal((2, 5))
+    return sp.csr_matrix(dense)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+class TestRowSplit:
+    """With no work floor, `row_split` cuts the rows into spans that cover
+    each row exactly once, and its product is bitwise the operator's."""
+
+    # spans at 1, 2 and 3 workers; duplicate bounds collapse, so one heavy
+    # row makes two spans at 3 workers
+    SPANS = {"empty_rows": (1, 2, 3), "one_heavy_row": (1, 2, 2),
+             "fewer_rows_than_workers": (1, 2, 2)}
+
+    @pytest.mark.parametrize("name", SPANS)
+    def test_spans_cover_each_row_once(self, monkeypatch, count, name):
+        spans = self.SPANS[name][count - 1]
+        monkeypatch.setattr(graph, "MIN_SPAN_WORK", 1)
+        operator = row_split_operator(name)
+        X = np.random.default_rng(4).standard_normal((operator.shape[1], 3))
+        calls, ordered_map = [], graph.ordered_map
+
+        def spy(fn, items, make_slot, work):
+            calls.append(items)
+            return ordered_map(fn, items, make_slot, work)
+
+        monkeypatch.setattr(graph, "ordered_map", spy)
+        with workers(count):
+            got = graph.row_split(operator, X.shape[1])(X)
+        assert got.tobytes() == (operator @ X).tobytes()
+        if spans == 1:
+            # one span is the operator's own product
+            assert calls == []
+            return
+        [items] = calls
+        assert len(items) == spans
+        assert [r for r0, r1, _ in items for r in range(r0, r1)] == list(range(operator.shape[0]))
+        for r0, r1, view in items:
+            assert (view != operator[r0:r1]).nnz == 0
+
+
 def test_ranking_memory_is_bounded():
     # eval-full's shape: 2000 users x 2000 items, so 8 blocks of 262 users
     # in 2 spans.  Blocks made in the workers, or full-size partition
@@ -293,7 +348,7 @@ class TestWorkFloor:
     (`ordered_map`), the SDDMM n x 2 L d (`span_map`), ranking
     users x items x d (`span_map`), the propagation products
     nonzeros x d (`row_split`), and the two HSIC kernels or routes, n^2
-    each for n distinct batch users (`parallel_map`)."""
+    each for n distinct batch users (`ordered_map`)."""
 
     @staticmethod
     def spans(name, count):
