@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number
 from .graph import DEGREE_FLOOR, EdgeLayout, WeightedAdjacency, renormalize
 
 MAX_LAYERS = 4
@@ -38,9 +38,8 @@ class EmbeddingTable:
             raise ConfigError(f"embedding matrix must be 2-D, got shape {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise ConfigError("embedding matrix contains non-finite values")
-        if not (1 <= self.layer_count <= MAX_LAYERS):
-            raise ConfigError(
-                f"layer_count must lie in [1, {MAX_LAYERS}], got {self.layer_count}")
+        self.layer_count = check_number("layer_count", self.layer_count,
+                                        f"[1, {MAX_LAYERS}]", integer=True)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 from . import data as data_mod
 from . import denoiser as denoiser_mod
 from . import evaluation, graph, trainer
-from .errors import CheckpointError, ConfigError, DataError, GbsrError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, GbsrError, NumericError, check_number
 from .ioutil import atomic_write_text
 
 
@@ -42,10 +42,11 @@ class RunConfig:
     explicit_train: frozenset = frozenset()
 
     def __post_init__(self):
-        if not (0.0 < self.split_ratio <= 1.0):
-            raise ConfigError(f"split_ratio must lie in (0, 1], got {self.split_ratio}")
-        if any(s < 0 for s in self.seed):
-            raise ConfigError(f"every seed must be >= 0, got {list(self.seed)}")
+        self.split_ratio = check_number("split_ratio", self.split_ratio, "(0, 1]")
+        self.seed = tuple(check_number("seed", s, "[0, inf)", integer=True) for s in self.seed)
+        repeats = [s for s in self.seed if self.seed.count(s) > 1]
+        if repeats:  # one model per seed: a repeat would overwrite its files
+            raise ConfigError(f"seed {repeats[0]} is given more than once in {list(self.seed)}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -172,7 +173,7 @@ def run_train(cfg: RunConfig) -> None:
     outputs: List[str] = []
     reports: List[evaluation.MetricsReport] = []
     for seed in cfg.seed:
-        train_cfg = replace(cfg.train, seed=int(seed))
+        train_cfg = replace(cfg.train, seed=seed)
         best, log = trainer.fit(train_cfg, dataset)
         ckpt_name = f"checkpoint_seed{seed}.bin"
         log_name = f"train_log_seed{seed}.jsonl"
@@ -181,13 +182,13 @@ def run_train(cfg: RunConfig) -> None:
                           "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
         reports.append(trainer.evaluate_state(best, dataset, train_cfg))
         outputs += [ckpt_name, log_name]
-    cutoffs = tuple(cfg.train.cutoffs)
+    cutoffs = cfg.train.cutoffs
     metrics = evaluation.MetricsReport(
         recall={n: sum(r.recall[n] for r in reports) / len(reports) for n in cutoffs},
         ndcg={n: sum(r.ndcg[n] for r in reports) / len(reports) for n in cutoffs},
         evaluated_user_count=reports[-1].evaluated_user_count).to_json_dict()
     metrics["per_seed"] = [
-        {"seed": int(seed), "recall": {str(n): r.recall[n] for n in cutoffs},
+        {"seed": seed, "recall": {str(n): r.recall[n] for n in cutoffs},
          "ndcg": {str(n): r.ndcg[n] for n in cutoffs}}
         for seed, r in zip(cfg.seed, reports)]
     atomic_write_text(out_dir / "metrics.json", _json_text(metrics))
@@ -316,21 +317,21 @@ def run(argv=None) -> None:
     _COMMANDS[command][0](cfg)
 
 
+# the stderr label and exit code of each error type; the first that matches
+# wins, and GbsrError catches any future growth of the taxonomy
+_EXITS = ((ConfigError, "config error", 1), (DataError, "data error", 2),
+          (NumericError, "numeric error", 3), (CheckpointError, "checkpoint error", 3),
+          (GbsrError, "error", 1))
+
+
 def main(argv=None) -> int:
     try:
         run(argv)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except (NumericError, CheckpointError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return 3
-    except GbsrError as err:  # catch-all for any future taxonomy growth
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except GbsrError as err:
+        label, code = next((label, code) for kind, label, code in _EXITS
+                           if isinstance(err, kind))
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
     return 0
 
 

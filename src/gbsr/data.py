@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, check_number
 
 # negative sampling redraws an item at most this many times per triple
 NEGATIVE_RETRY_BOUND = 100
@@ -48,6 +48,13 @@ _FLOOR_EPS = 1e-9
 # the most users + items a Dataset holds: every pair key a * width + b with
 # a, b below the node count is then below MAX_NODES ** 2 <= 2 ** 63
 MAX_NODES = math.isqrt(2 ** 63)
+
+
+# the interval of each SyntheticSpec field; the annotation says integer or real
+_SPEC_INTERVALS = {"cluster_count": "[1, inf)", "users_per_cluster": "[1, inf)",
+                   "items_per_cluster": "[1, inf)", "interaction_rate": "[0, 1]",
+                   "intra_social_rate": "[0, 1]", "noise_edge_fraction": "[0, inf)",
+                   "seed": "[0, inf)"}
 
 
 @dataclass(frozen=True)
@@ -72,23 +79,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cluster_count < 1:
-            raise ConfigError(f"cluster_count must be >= 1, got {self.cluster_count}")
-        for name in ("users_per_cluster", "items_per_cluster"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("interaction_rate", "intra_social_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if not (0.0 <= self.noise_edge_fraction < math.inf):
-            raise ConfigError(f"noise_edge_fraction must be finite and >= 0, "
-                              f"got {self.noise_edge_fraction}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_number(
+                f.name, getattr(self, f.name), _SPEC_INTERVALS[f.name],
+                integer=f.type == "int"))
         if self.noise_edge_fraction > 0 and self.cluster_count < 2:
             # a planted noise edge crosses from one cluster to another
             raise ConfigError("noise_edge_fraction > 0 needs cluster_count >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Dataset:
@@ -312,8 +309,7 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     Dense user ids follow first appearance in the interaction file and then
     the social file; item ids follow first appearance in the interaction file.
     """
-    if not (0.0 < split_ratio <= 1.0):
-        raise DataError(f"split_ratio must lie in (0, 1], got {split_ratio}")
+    split_ratio = check_number("split_ratio", split_ratio, "(0, 1]", error=DataError)
     inter_raw = _read_edge_file(interactions_path)
     # an empty social file is the social-free graph
     social_raw = _read_edge_file(social_path, allow_empty=True)
@@ -351,8 +347,8 @@ def sample_batch_arrays(dataset: Dataset, batch_size: int,
     """
     if dataset.train_pairs.shape[0] == 0:
         raise DataError("cannot sample training triples: train set is empty")
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = check_number("batch_size", batch_size, "[1, inf)", integer=True,
+                              error=DataError)
     idx = rng.integers(0, dataset.train_pairs.shape[0], size=batch_size)
     users = dataset.train_pairs[idx, 0].copy()
     positives = dataset.train_pairs[idx, 1].copy()
@@ -401,13 +397,14 @@ def generate_synthetic(spec: SyntheticSpec):
         c * U + upper[rng.random((U, U))[ia, ib] < spec.intra_social_rate]
         for c in range(C)])
 
-    noise = set()
     target = math.ceil(spec.noise_edge_fraction * genuine.shape[0])
-    attempts = 0
+    cross = M * (M - 1) // 2 - C * (U * (U - 1) // 2)
+    if target > cross:
+        raise DataError(f"could not place {target} cross-cluster noise edges: only "
+                        f"{cross} cross-cluster pairs exist")
+    # the target fits, so rejection sampling ends
+    noise = set()
     while len(noise) < target:
-        attempts += 1
-        if attempts > 1000 * max(target, 1):
-            raise DataError("could not place the requested number of cross-cluster noise edges")
         a = int(rng.integers(0, M))
         b = int(rng.integers(0, M))
         if a == b or a // U == b // U:

@@ -20,7 +20,6 @@ the parameter leaves and `denoise` runs them on constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import graph
 from .data import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number
 from .graph import EdgeLayout, layout_for
 
 CONFIDENCE_CLAMP = 1e-6
@@ -68,11 +67,8 @@ class DenoiserParams:
         for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} contains non-finite values")
-        # the comparisons also reject NaN
-        if not (0.0 < self.temperature < math.inf):
-            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
-        if not (0.0 <= self.observation_bias <= 1.0):
-            raise ConfigError(f"observation_bias must lie in [0, 1], got {self.observation_bias}")
+        self.temperature = check_number("temperature", self.temperature, "(0, inf)")
+        self.observation_bias = check_number("observation_bias", self.observation_bias, "[0, 1]")
 
     @property
     def dim(self) -> int:
@@ -216,8 +212,8 @@ def relax_sample(w: ad.Tensor, delta, temperature: float,
 
     The sum is never negative, so clipping it to [0, 1] is that minimum,
     with the same zero gradient where it clamps."""
-    if not (0.0 < temperature < math.inf):
-        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
+    check_number("temperature", temperature, "(0, inf)")
+    check_number("observation_bias", observation_bias, "[0, 1]")
     w = ad.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
     d = np.clip(delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
     relaxed = ad.sigmoid((w + np.log(d / (1.0 - d))) / temperature)

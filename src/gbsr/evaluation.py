@@ -22,6 +22,7 @@ worker count, so neither does any product or result.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import graph
 from .backbone import NodeRepresentations
 from .data import Dataset
-from .errors import DataError
+from .errors import DataError, check_number
 
 # bytes of float64 scores in one block of users; bounds the (users, items)
 # buffers of a ranking pass whatever the user count
@@ -111,21 +112,23 @@ def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
     return rows[keep], position[keep], items[keep]
 
 
-def _check_cutoffs(cutoffs: Tuple[int, ...]) -> None:
-    """Raise DataError unless there is a cutoff and every one is a positive
-    integer, Python's or numpy's, and not a bool."""
-    if not cutoffs or any(not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1
-                          for n in cutoffs):
-        raise DataError(f"cutoffs must be positive integers, got {cutoffs}")
+def check_cutoffs(cutoffs, error=DataError) -> Tuple[int, ...]:
+    """`cutoffs` as a tuple of Python ints; raises `error` unless it holds
+    one or more integers >= 1, Python's or numpy's."""
+    checked = tuple(cutoffs) if isinstance(cutoffs, Iterable) else ()
+    if not checked:
+        raise error(f"cutoffs must hold one or more integers, got {cutoffs!r}")
+    return tuple(check_number("cutoff", n, "[1, inf)", integer=True, error=error)
+                 for n in checked)
 
 
 def rank_user(reps: NodeRepresentations, dataset: Dataset, user: int,
               cutoff: int) -> np.ndarray:
     """Top `cutoff` candidate items for the user, best first."""
-    _check_cutoffs((cutoff,))
+    (cutoff,) = check_cutoffs((cutoff,))
     _check_readout(reps, dataset)
-    if not (0 <= user < dataset.user_count):
-        raise DataError(f"user id {user} outside [0, {dataset.user_count})")
+    user = check_number("user", user, f"[0, {dataset.user_count})", integer=True,
+                        error=DataError)
     return _ranked_block(reps.readout, dataset, user, user + 1, cutoff,
                          *_buffers(1, dataset.item_count))[2]
 
@@ -138,8 +141,7 @@ def require_test_pairs(dataset: Dataset) -> None:
 
 def evaluate(reps: NodeRepresentations, dataset: Dataset,
              cutoffs: Sequence[int] = (10, 20)) -> MetricsReport:
-    cutoffs = tuple(cutoffs)
-    _check_cutoffs(cutoffs)
+    cutoffs = check_cutoffs(cutoffs)
     require_test_pairs(dataset)
     _check_readout(reps, dataset)
     n_max = max(cutoffs)

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .errors import ConfigError, DataError
+from .errors import DataError, check_number
 
 
 def _normalize_rows(Z: np.ndarray):
@@ -169,8 +169,7 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
-    if not (sigma_sq > 0.0):
-        raise ConfigError(f"sigma_sq must be > 0, got {sigma_sq}")
+    check_number("sigma_sq", sigma_sq, "(0, inf)")
     return _rbf(X, sigma_sq, np.empty((X.shape[0], X.shape[0])))
 
 

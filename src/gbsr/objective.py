@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone, denoiser, hsic
 from .denoiser import DenoiserParams
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError, check_number
 from .graph import EdgeLayout
 
 # BPR margin clamp: softplus(40) ~ 4e-18, so wider margins change nothing
@@ -80,12 +80,10 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (layout.social_count,):
         raise DataError("delta vector must align with the social pairs")
-    # TrainConfig's comparisons, which also reject NaN and infinities
-    for name, value in (("beta", beta), ("reg_lambda", reg_lambda)):
-        if not (0.0 <= value < np.inf):
-            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-    if not (0.0 < sigma_sq < np.inf):
-        raise ConfigError(f"sigma_sq must be finite and > 0, got {sigma_sq}")
+    # TrainConfig's intervals
+    check_number("beta", beta, "[0, inf)")
+    check_number("reg_lambda", reg_lambda, "[0, inf)")
+    check_number("sigma_sq", sigma_sq, "(0, inf)")
 
     M = layout.user_count
     E0 = ad.Tensor(embeddings, requires_grad=with_grads)

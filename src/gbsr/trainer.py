@@ -24,7 +24,7 @@ from . import evaluation, objective
 from .backbone import EmbeddingTable, MAX_LAYERS
 from .data import Dataset
 from .denoiser import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, DenoiserParams, denoise
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, NumericError, check_number
 from .graph import EdgeLayout, build_adjacency, layout_for
 from .ioutil import atomic_write_bytes
 
@@ -37,6 +37,14 @@ ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"GBSRCKPT"
 CHECKPOINT_VERSION = 2
+
+
+# the interval of each numeric TrainConfig key
+_INTERVALS = {"embedding_dim": "[1, inf)", "layers": f"[1, {MAX_LAYERS}]",
+              "learning_rate": "[0, inf)", "batch_size": "[1, inf)", "reg_lambda": "[0, inf)",
+              "beta": "[0, inf)", "sigma_sq": "(0, inf)", "temperature": "(0, inf)",
+              "epsilon": "[0, 1]", "epochs": "[0, inf)", "eval_every": "[1, inf)",
+              "patience": "[1, inf)", "seed": "[0, inf)", "validation_ratio": "[0, 1)"}
 
 
 @dataclass(frozen=True)
@@ -60,39 +68,19 @@ class TrainConfig:
     validation_ratio: float = 0.0
 
     def __post_init__(self):
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if not (1 <= self.layers <= MAX_LAYERS):
-            raise ConfigError(f"layers must lie in [1, {MAX_LAYERS}], got {self.layers}")
-        # the comparisons also reject NaN
-        for name in ("learning_rate", "reg_lambda", "beta"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("sigma_sq", "temperature"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # a numeric key's annotation says integer or real; a bool key takes a bool
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _INTERVALS:
+                value = check_number(f.name, value, _INTERVALS[f.name], integer=f.type == "int")
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a bool, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "cutoffs", evaluation.check_cutoffs(self.cutoffs, ConfigError))
         if self.beta > 0.0 and self.batch_size < 2:
             # the HSIC term compares at least two distinct batch users
             raise ConfigError(f"batch_size must be >= 2 when beta > 0, got batch_size="
                               f"{self.batch_size} and beta={self.beta}")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # a bool is an int, but True is no cutoff
-        if not self.cutoffs or any(not isinstance(n, int) or isinstance(n, bool) or n < 1
-                                   for n in self.cutoffs):
-            raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
-        if not (0.0 <= self.validation_ratio < 1.0):
-            raise ConfigError(f"validation_ratio must lie in [0, 1), got {self.validation_ratio}")
 
     @property
     def selection_cutoff(self) -> int:
@@ -262,10 +250,7 @@ def config_from_dict(values: dict) -> TrainConfig:
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(values)
-    if "cutoffs" in kwargs:
-        kwargs["cutoffs"] = tuple(kwargs["cutoffs"])
-    return TrainConfig(**kwargs)
+    return TrainConfig(**values)
 
 
 # -- binary checkpoints ------------------------------------------------------
@@ -309,7 +294,8 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
     try:
         header = json.loads(blob[at + 12:start].decode("utf-8"))
         config = config_from_dict(header["config"])
-        epoch, adam_step = int(header["epoch"]), int(header["adam_step"])
+        epoch, adam_step = (check_number(k, header[k], "[0, inf)", integer=True)
+                            for k in ("epoch", "adam_step"))
         best_metric = float(header["best_metric"])
         entries = [(name, tuple(int(d) for d in shape)) for name, shape in header["arrays"]]
         shapes = dict(entries)

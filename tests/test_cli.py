@@ -340,6 +340,53 @@ class TestEvaluate:
         assert not (out / "confidence.csv").exists()
 
 
+def _with_header_config(blob, key, value):
+    """A checkpoint's bytes with one key of its header's config replaced."""
+    length = int.from_bytes(blob[12:20], "little")
+    header = json.loads(blob[20:20 + length])
+    header["config"][key] = value
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:12] + len(raw).to_bytes(8, "little") + raw + blob[20 + length:]
+
+
+class TestCheckpointLabel:
+    """A checkpoint fault exits 3 with the label `checkpoint error:`."""
+
+    def run(self, data_dir, tmp_path, blob, command="evaluate"):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(bad),
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"), "--out", str(out)])
+        assert not (out / "metrics.json").exists()
+        assert not (out / "confidence.csv").exists()
+        return code
+
+    def test_truncated_checkpoint(self, train_dir, data_dir, tmp_path, capsys):
+        blob = (train_dir / "checkpoint_seed0.bin").read_bytes()
+        assert self.run(data_dir, tmp_path, blob[:len(blob) // 2]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "checkpoint truncated" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-confidence"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("layers", 2.0, "layers must be an integer in [1, 4], got 2.0"),
+        ("seed", 0.5, "seed must be an integer in [0, inf), got 0.5"),
+        ("embedding_dim", True, "embedding_dim must be an integer in [1, inf), got True"),
+        ("detach_original", "false", "detach_original must be a bool, got 'false'"),
+        ("cutoffs", [10, 2.5], "cutoff must be an integer in [1, inf), got 2.5"),
+    ], ids=["layers-float", "seed-float", "dim-bool", "bool-string", "cutoff-float"])
+    def test_header_value_of_the_wrong_type(self, train_dir, data_dir, tmp_path, capsys,
+                                            command, key, value, message):
+        blob = _with_header_config(
+            (train_dir / "checkpoint_seed0.bin").read_bytes(), key, value)
+        assert self.run(data_dir, tmp_path, blob, command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:")
+        assert f"bad checkpoint header: {message}\n" in err
+
+
 class TestSeed:
     """`seed` is one key: a comma-separated list whose first entry seeds the
     split and the generator; a flag beats the config file as for any key.
@@ -560,18 +607,34 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("config error:")
         assert _no_files(out)
 
+    @pytest.mark.parametrize("seeds, repeated", [("0,0", 0), ("3,1,3", 3)])
+    def test_repeated_seed_is_exit_1(self, data_dir, tmp_path, capsys, seeds, repeated):
+        # one model per seed: a repeat would fit the same model twice into
+        # the same files
+        out = tmp_path / "out"
+        code = main(["train", "--seed", seeds, "--epochs", "1",
+                     "--interactions", str(data_dir / "interactions.tsv"),
+                     "--social", str(data_dir / "social.tsv"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: seed {repeated} is given more than once")
+        assert _no_files(out)
+
     def test_negative_synth_seed_is_exit_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be an integer in [0, inf), got -1" in capsys.readouterr().err
         assert _no_files(out)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--cluster-count", "0"], "cluster_count must be >= 1"),
-        (["--users-per-cluster", "0"], "users_per_cluster must be >= 1"),
-        (["--interaction-rate", "1.5"], "interaction_rate must lie in [0, 1]"),
-        (["--intra-social-rate", "nan"], "intra_social_rate must lie in [0, 1]"),
-        (["--noise-edge-fraction", "inf"], "noise_edge_fraction must be finite"),
+        (["--cluster-count", "0"], "cluster_count must be an integer in [1, inf), got 0"),
+        (["--users-per-cluster", "0"],
+         "users_per_cluster must be an integer in [1, inf), got 0"),
+        (["--interaction-rate", "1.5"], "interaction_rate must be a number in [0, 1], got 1.5"),
+        (["--intra-social-rate", "nan"],
+         "intra_social_rate must be a number in [0, 1], got nan"),
+        (["--noise-edge-fraction", "inf"],
+         "noise_edge_fraction must be a number in [0, inf), got inf"),
         (["--cluster-count", "1"], "needs cluster_count >= 2"),
     ], ids=["clusters-0", "users-0", "rate-1.5", "social-nan", "noise-inf",
             "noise-one-cluster"])

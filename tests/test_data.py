@@ -664,8 +664,25 @@ class TestSynthetic:
             SyntheticSpec(1, 5, 5, 0.5, 0.5, 0.5, seed=0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, inf\), got -1"):
             SyntheticSpec(2, 5, 5, 0.5, 0.5, 0.5, seed=-1)
+
+    def test_noise_beyond_the_cross_cluster_pairs_fails_at_once(self):
+        # ~19.8k noise edges asked of 200 * 199 / 2 - 2 * 100 * 99 / 2 = 10000
+        # cross-cluster pairs: refused right after the genuine draw
+        with pytest.raises(DataError, match=r"could not place \d+ cross-cluster noise "
+                                            r"edges: only 10000 cross-cluster pairs exist"):
+            generate_synthetic(SyntheticSpec(noise_edge_fraction=20.0))
+
+    def test_noise_filling_every_cross_cluster_pair(self):
+        # one genuine edge per cluster of two users leaves 4 cross-cluster
+        # pairs; a target of exactly 4 plants all of them, 5 is refused
+        spec = SyntheticSpec(2, 2, 3, 1.0, 1.0, 2.0, seed=0)
+        ds, labels = generate_synthetic(spec)
+        assert labels.sum() == 4 and ds.social_pairs.shape[0] == 6
+        with pytest.raises(DataError, match="could not place 5 cross-cluster noise "
+                                            "edges: only 4 cross-cluster pairs exist"):
+            generate_synthetic(SyntheticSpec(2, 2, 3, 1.0, 1.0, 2.5, seed=0))
 
     def test_rate_bounds_validated(self):
         with pytest.raises(ConfigError, match="interaction_rate"):

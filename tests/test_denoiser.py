@@ -186,7 +186,7 @@ class TestParams:
     def test_temperature_positive(self):
         # an infinite temperature relaxes every pair to 0.5 + epsilon
         for t in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ConfigError, match="finite and > 0"):
+            with pytest.raises(ConfigError, match=r"temperature must be a number in \(0, inf\)"):
                 DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)),
                                np.zeros(1), temperature=t)
 
@@ -235,7 +235,7 @@ class TestRelaxation:
 
     def test_bad_temperature(self):
         for t in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ConfigError, match="finite and > 0"):
+            with pytest.raises(ConfigError, match=r"temperature must be a number in \(0, inf\)"):
                 relax(0.5, 0.5, t)
 
     def test_mean_over_noise_matches_quadrature(self):

@@ -272,9 +272,9 @@ class TestEdges:
     def test_cutoff_that_is_not_an_integer(self, cutoff):
         # TrainConfig's rule: a data error, not numpy's TypeError
         reps, ds = one_user([0.5, 0.4], test=[0])
-        with pytest.raises(DataError, match="positive integers"):
+        with pytest.raises(DataError, match=r"cutoff must be an integer in \[1, inf\)"):
             evaluate(reps, ds, (cutoff,))
-        with pytest.raises(DataError, match="positive integers"):
+        with pytest.raises(DataError, match=r"cutoff must be an integer in \[1, inf\)"):
             rank_user(reps, ds, 0, cutoff)
 
     def test_numpy_integer_cutoffs(self):

@@ -477,8 +477,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h.__setitem__("config", {**h["config"], "layers": 0}),
-         r"bad checkpoint header: layers must lie in"),
+         r"bad checkpoint header: layers must be an integer in \[1, 4\], got 0$"),
         (lambda h: h.pop("adam_step"), r"bad checkpoint header: 'adam_step'"),
+        (lambda h: h.__setitem__("epoch", 1.5),
+         r"bad checkpoint header: epoch must be an integer in \[0, inf\), got 1.5$"),
         (lambda h: h["arrays"].pop(), r"are not each of \[.*\] once$"),
         (lambda h: h["arrays"].append(["extra", [0]]), r"are not each of"),
         (lambda h: h["arrays"].__setitem__(1, h["arrays"][0]), r"are not each of"),
@@ -499,7 +501,7 @@ class TestCheckpoint:
          r"and embedding_dim=4 differ$"),
     ] + [(lambda h, k=k, v=v: h["config"].__setitem__(k, v),
           rf"bad checkpoint header: {k} must be") for k, v in OUT_OF_DOMAIN],
-        ids=["bad-config-value", "missing-counter", "missing-array",
+        ids=["bad-config-value", "missing-counter", "fractional-counter", "missing-array",
              "unknown-array", "duplicate-array", "negative-dim",
              "infinite-dim", "unhashable-name", "moment-shape",
              "inconsistent-blocks", "config-width"]
