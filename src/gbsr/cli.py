@@ -15,14 +15,15 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import data as data_mod
 from . import denoiser as denoiser_mod
 from . import evaluation, graph, trainer
-from .errors import CheckpointError, ConfigError, DataError, GbsrError, NumericError, check_number
+from .errors import (CheckpointError, ConfigError, DataError, GbsrError, NumericError,
+                     check_fields, check_number, config_field)
 from .ioutil import atomic_write_text
 
 
@@ -30,19 +31,19 @@ from .ioutil import atomic_write_text
 class RunConfig:
     train: trainer.TrainConfig
     synthetic: data_mod.SyntheticSpec
-    interactions: Optional[str] = None
-    social: Optional[str] = None
-    out: Optional[str] = None
-    checkpoint: Optional[str] = None
+    interactions: Optional[str] = config_field(None, help="user-item edge file (TSV)")
+    social: Optional[str] = config_field(None, help="user-user edge file (TSV)")
+    out: Optional[str] = config_field(None, help="output directory")
+    checkpoint: Optional[str] = config_field(None, help="checkpoint file from train")
     # only train takes several, one model each; the first seeds split and synth
-    seed: Tuple[int, ...] = (0,)
-    split_ratio: float = 0.8
+    seed: Tuple[int, ...] = config_field((0,), help="comma-separated seeds, each in [0, inf)")
+    split_ratio: float = config_field(0.8, "(0, 1]", "per-user train fraction")
     # train-config keys the user set explicitly (file or flag); evaluate and
     # export check them against a checkpoint's embedded config
     explicit_train: frozenset = frozenset()
 
     def __post_init__(self):
-        self.split_ratio = check_number("split_ratio", self.split_ratio, "(0, 1]")
+        check_fields(self)
         self.seed = tuple(check_number("seed", s, "[0, inf)", integer=True) for s in self.seed)
         repeats = [s for s in self.seed if self.seed.count(s) > 1]
         if repeats:  # one model per seed: a repeat would overwrite its files
@@ -76,6 +77,9 @@ _TRAIN_KEYS, _SYNTH_KEYS = ({k: t for k, t in typing.get_type_hints(cls).items()
                              if k != "seed"}
                             for cls in (trainer.TrainConfig, data_mod.SyntheticSpec))
 _KEY_TYPES = {**_TRAIN_KEYS, **_SYNTH_KEYS, **_RUN_KEYS}
+# the field that declares each key's default, interval and help
+_KEY_FIELDS = {f.name: f for cls in (trainer.TrainConfig, data_mod.SyntheticSpec, RunConfig)
+               for f in fields(cls) if f.name in _KEY_TYPES}
 
 
 def _coerce_key(key: str, raw: str):
@@ -254,26 +258,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# flag help by config key; a key without an entry gets none
-_HELP = {
-    "out": "output directory",
-    "seed": "comma-separated seed list",
-    "interactions": "user-item edge file (TSV)",
-    "social": "user-user edge file (TSV)",
-    "split_ratio": "per-user train fraction (default 0.8)",
-    "checkpoint": "checkpoint file from train",
-    "beta": "bottleneck weight",
-    "sigma_sq": "RBF kernel bandwidth (sigma squared)",
-    "layers": "propagation depth",
-    "reg_lambda": "L2 weight on the embedding table",
-    "epsilon": "additive floor on relaxed social weights",
-    "temperature": "relaxation temperature",
-    "patience": "evaluations without improvement before stopping",
-    "cutoffs": "comma-separated ranking cutoffs",
-    "validation_ratio": "carve this per-user train fraction out for model selection",
-    "detach_original": "hold the original-graph branch constant in the bottleneck",
-    "kernel_normalize": "L2-normalize rows before the kernels (false feeds raw rows)",
-}
 # the keys of every command that reads the edge files
 _DATA_KEYS = ("out", "seed", "interactions", "social", "split_ratio")
 # subcommand -> (runner, help, the config keys it takes as flags)
@@ -290,6 +274,17 @@ _COMMANDS = {
 }
 
 
+def _flag_help(key: str) -> str:
+    """The key's help, its interval if it has one, and its default unless
+    None, written as the flag takes it (`10,20`, `false`)."""
+    f = _KEY_FIELDS[key]
+    default = (",".join(map(str, f.default)) if isinstance(f.default, tuple)
+               else str(f.default).lower() if isinstance(f.default, bool) else f.default)
+    parts = [f.metadata["help"], f.metadata["interval"] and f"in {f.metadata['interval']}",
+             default is not None and f"default {default}"]
+    return "; ".join(part for part in parts if part)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gbsr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -299,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         for key in keys:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=_PARSERS[_KEY_TYPES[key]], help=_HELP.get(key))
+                            type=_PARSERS[_KEY_TYPES[key]], help=_flag_help(key))
     return parser
 
 

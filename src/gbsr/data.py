@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, check_number
+from .errors import (ConfigError, DataError, ParseError, check_fields, check_number,
+                     config_field)
 
 # negative sampling redraws an item at most this many times per triple
 NEGATIVE_RETRY_BOUND = 100
@@ -48,13 +49,6 @@ _FLOOR_EPS = 1e-9
 # the most users + items a Dataset holds: every pair key a * width + b with
 # a, b below the node count is then below MAX_NODES ** 2 <= 2 ** 63
 MAX_NODES = math.isqrt(2 ** 63)
-
-
-# the interval of each SyntheticSpec field; the annotation says integer or real
-_SPEC_INTERVALS = {"cluster_count": "[1, inf)", "users_per_cluster": "[1, inf)",
-                   "items_per_cluster": "[1, inf)", "interaction_rate": "[0, 1]",
-                   "intra_social_rate": "[0, 1]", "noise_edge_fraction": "[0, inf)",
-                   "seed": "[0, inf)"}
 
 
 @dataclass(frozen=True)
@@ -70,19 +64,16 @@ class SyntheticSpec:
     range raises ConfigError, like any other bad configuration.
     """
 
-    cluster_count: int = 2
-    users_per_cluster: int = 100
-    items_per_cluster: int = 100
-    interaction_rate: float = 0.15
-    intra_social_rate: float = 0.1
-    noise_edge_fraction: float = 0.5
-    seed: int = 0
+    cluster_count: int = config_field(2, "[1, inf)", "user and item clusters")
+    users_per_cluster: int = config_field(100, "[1, inf)", "users in each cluster")
+    items_per_cluster: int = config_field(100, "[1, inf)", "items in each cluster")
+    interaction_rate: float = config_field(0.15, "[0, 1]", "in-cluster interaction probability")
+    intra_social_rate: float = config_field(0.1, "[0, 1]", "in-cluster social edge probability")
+    noise_edge_fraction: float = config_field(0.5, "[0, inf)", "noise edges per genuine edge")
+    seed: int = config_field(0, "[0, inf)")
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, check_number(
-                f.name, getattr(self, f.name), _SPEC_INTERVALS[f.name],
-                integer=f.type == "int"))
+        check_fields(self)
         if self.noise_edge_fraction > 0 and self.cluster_count < 2:
             # a planted noise edge crosses from one cluster to another
             raise ConfigError("noise_edge_fraction > 0 needs cluster_count >= 2")
@@ -102,8 +93,9 @@ class Dataset:
                  train: Iterable[Tuple[int, int]],
                  test: Iterable[Tuple[int, int]],
                  social: Iterable[Tuple[int, int]]):
-        self.user_count = int(user_count)
-        self.item_count = int(item_count)
+        self.user_count, self.item_count = (
+            check_number(name, count, "[0, inf)", integer=True, error=DataError)
+            for name, count in (("user_count", user_count), ("item_count", item_count)))
         if self.node_count > MAX_NODES:
             raise DataError(f"user_count {self.user_count} + item_count {self.item_count} "
                             f"exceeds {MAX_NODES} nodes: pair keys would overflow int64")
@@ -310,6 +302,7 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     the social file; item ids follow first appearance in the interaction file.
     """
     split_ratio = check_number("split_ratio", split_ratio, "(0, 1]", error=DataError)
+    seed = check_number("seed", seed, "[0, inf)", integer=True, error=DataError)
     inter_raw = _read_edge_file(interactions_path)
     # an empty social file is the social-free graph
     social_raw = _read_edge_file(social_path, allow_empty=True)

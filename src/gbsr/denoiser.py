@@ -38,6 +38,9 @@ DELTA_CLAMP = 1e-12
 DEFAULT_TEMPERATURE = 0.2
 DEFAULT_EPSILON = 0.5
 
+# the confidence head's parameter blocks, in the order `confidences` takes them
+HEAD_BLOCKS = ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias")
+
 
 @dataclass
 class DenoiserParams:
@@ -51,20 +54,14 @@ class DenoiserParams:
     observation_bias: float = DEFAULT_EPSILON  # added to every relaxed weight
 
     def __post_init__(self):
-        self.layer1_weight = np.asarray(self.layer1_weight, dtype=np.float64)
-        self.layer1_bias = np.asarray(self.layer1_bias, dtype=np.float64)
-        self.layer2_weight = np.asarray(self.layer2_weight, dtype=np.float64)
-        self.layer2_bias = np.asarray(self.layer2_bias, dtype=np.float64)
+        for name in HEAD_BLOCKS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         d = self.layer1_weight.shape[1] if self.layer1_weight.ndim == 2 else -1
-        if self.layer1_weight.ndim != 2 or self.layer1_weight.shape[0] != 3 * d:
-            raise ConfigError(f"layer1_weight must be (3d, d), got {self.layer1_weight.shape}")
-        if self.layer1_bias.shape != (d,):
-            raise ConfigError(f"layer1_bias must be (d,), got {self.layer1_bias.shape}")
-        if self.layer2_weight.shape != (d, 1):
-            raise ConfigError(f"layer2_weight must be (d, 1), got {self.layer2_weight.shape}")
-        if self.layer2_bias.shape != (1,):
-            raise ConfigError(f"layer2_bias must be (1,), got {self.layer2_bias.shape}")
-        for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias"):
+        shapes = (("(3d, d)", (3 * d, d)), ("(d,)", (d,)), ("(d, 1)", (d, 1)), ("(1,)", (1,)))
+        for name, (text, shape) in zip(HEAD_BLOCKS, shapes):
+            if getattr(self, name).shape != shape:
+                raise ConfigError(f"{name} must be {text}, got {getattr(self, name).shape}")
+        for name in HEAD_BLOCKS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} contains non-finite values")
         self.temperature = check_number("temperature", self.temperature, "(0, inf)")
@@ -73,6 +70,10 @@ class DenoiserParams:
     @property
     def dim(self) -> int:
         return self.layer1_weight.shape[1]
+
+    def head(self) -> tuple:
+        """The arrays of `HEAD_BLOCKS`, in that order."""
+        return tuple(getattr(self, name) for name in HEAD_BLOCKS)
 
     @classmethod
     def init(cls, dim: int, rng: np.random.Generator, scale: float = 0.01,
@@ -256,8 +257,7 @@ def denoise(params: DenoiserParams, user_embeddings: np.ndarray,
         raise ConfigError(
             f"embedding dimension mismatch: params expect {params.dim}, got {emb.shape[1]}")
     pairs = dataset.social_pairs
-    head = tuple(ad.constant(p) for p in (params.layer1_weight, params.layer1_bias,
-                                         params.layer2_weight, params.layer2_bias))
+    head = tuple(ad.constant(p) for p in params.head())
     w = confidences(ad.constant(emb), head, layout_for(dataset))
     relaxed = relax_sample(w, np.full(pairs.shape[0], 0.5), params.temperature,
                            params.observation_bias)

@@ -32,14 +32,13 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone, denoiser, hsic
 from .denoiser import DenoiserParams
-from .errors import DataError, NumericError, check_number
+from .errors import ConfigError, DataError, NumericError, check_number
 from .graph import EdgeLayout
 
 # BPR margin clamp: softplus(40) ~ 4e-18, so wider margins change nothing
 MARGIN_CLAMP = 40.0
 
-PARAM_BLOCKS = ("embeddings", "layer1_weight", "layer1_bias",
-                "layer2_weight", "layer2_bias")
+PARAM_BLOCKS = ("embeddings",) + denoiser.HEAD_BLOCKS
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,16 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
 
     M = layout.user_count
     E0 = ad.Tensor(embeddings, requires_grad=with_grads)
-    W1 = ad.Tensor(params.layer1_weight, requires_grad=with_grads)
-    b1 = ad.Tensor(params.layer1_bias, requires_grad=with_grads)
-    W2 = ad.Tensor(params.layer2_weight, requires_grad=with_grads)
-    b2 = ad.Tensor(params.layer2_bias, requires_grad=with_grads)
+    if E0.data.ndim != 2 or E0.shape[1] != params.dim:
+        raise ConfigError(f"embedding dimension mismatch: params expect {params.dim}, "
+                          f"got an embedding matrix of shape {E0.shape}")
+    if E0.shape[0] != layout.node_count:
+        raise DataError(f"embedding matrix has {E0.shape[0]} rows but the graph has "
+                        f"{layout.node_count} nodes")
+    head = tuple(ad.Tensor(p, requires_grad=with_grads) for p in params.head())
 
     # social confidences and relaxed weights, then the denoised graph
-    conf = denoiser.confidences(E0, (W1, b1, W2, b2), layout)
+    conf = denoiser.confidences(E0, head, layout)
     rho = denoiser.relax_sample(conf, deltas, params.temperature,
                                 params.observation_bias)
     readout = backbone.propagate(rho, E0, layout, layers)
@@ -130,10 +132,8 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
         return breakdown, None
 
     total.backward()
-    leaves = {"embeddings": E0, "layer1_weight": W1, "layer1_bias": b1,
-              "layer2_weight": W2, "layer2_bias": b2}
     grads: Dict[str, np.ndarray] = {}
-    for name, leaf in leaves.items():
+    for name, leaf in zip(PARAM_BLOCKS, (E0,) + head):
         g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block '{name}'")

@@ -24,7 +24,8 @@ from . import evaluation, objective
 from .backbone import EmbeddingTable, MAX_LAYERS
 from .data import Dataset
 from .denoiser import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, DenoiserParams, denoise
-from .errors import CheckpointError, ConfigError, NumericError, check_number
+from .errors import (CheckpointError, ConfigError, NumericError, check_fields,
+                     check_number, config_field)
 from .graph import EdgeLayout, build_adjacency, layout_for
 from .ioutil import atomic_write_bytes
 
@@ -39,43 +40,31 @@ CHECKPOINT_MAGIC = b"GBSRCKPT"
 CHECKPOINT_VERSION = 2
 
 
-# the interval of each numeric TrainConfig key
-_INTERVALS = {"embedding_dim": "[1, inf)", "layers": f"[1, {MAX_LAYERS}]",
-              "learning_rate": "[0, inf)", "batch_size": "[1, inf)", "reg_lambda": "[0, inf)",
-              "beta": "[0, inf)", "sigma_sq": "(0, inf)", "temperature": "(0, inf)",
-              "epsilon": "[0, 1]", "epochs": "[0, inf)", "eval_every": "[1, inf)",
-              "patience": "[1, inf)", "seed": "[0, inf)", "validation_ratio": "[0, 1)"}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    embedding_dim: int = 64
-    layers: int = 3
-    learning_rate: float = 0.001
-    batch_size: int = 2048
-    reg_lambda: float = 1e-4
-    beta: float = 1.0
-    sigma_sq: float = 1.0
-    temperature: float = DEFAULT_TEMPERATURE
-    epsilon: float = DEFAULT_EPSILON
-    epochs: int = 100
-    eval_every: int = 1
-    patience: int = 50
-    seed: int = 0
-    cutoffs: Tuple[int, ...] = (10, 20)
-    detach_original: bool = False
-    kernel_normalize: bool = True
-    validation_ratio: float = 0.0
+    embedding_dim: int = config_field(64, "[1, inf)", "width of each embedding row")
+    layers: int = config_field(3, f"[1, {MAX_LAYERS}]", "propagation depth")
+    learning_rate: float = config_field(0.001, "[0, inf)", "Adam step size")
+    batch_size: int = config_field(2048, "[1, inf)", "training triples per batch")
+    reg_lambda: float = config_field(1e-4, "[0, inf)", "L2 weight on the embedding table")
+    beta: float = config_field(1.0, "[0, inf)", "bottleneck weight")
+    sigma_sq: float = config_field(1.0, "(0, inf)", "RBF kernel bandwidth (sigma squared)")
+    temperature: float = config_field(DEFAULT_TEMPERATURE, "(0, inf)", "relaxation temperature")
+    epsilon: float = config_field(DEFAULT_EPSILON, "[0, 1]", "additive floor on relaxed weights")
+    epochs: int = config_field(100, "[0, inf)", "passes over the train interactions")
+    eval_every: int = config_field(1, "[1, inf)", "epochs between evaluations")
+    patience: int = config_field(50, "[1, inf)", "evaluations without a gain before stopping")
+    seed: int = config_field(0, "[0, inf)")
+    cutoffs: Tuple[int, ...] = config_field((10, 20), help="ranking cutoffs, each in [1, inf)")
+    detach_original: bool = config_field(
+        False, help="hold the original-graph branch constant in the bottleneck")
+    kernel_normalize: bool = config_field(
+        True, help="L2-normalize rows before the kernels (false feeds raw rows)")
+    validation_ratio: float = config_field(
+        0.0, "[0, 1)", "carve this per-user train fraction out for model selection")
 
     def __post_init__(self):
-        # a numeric key's annotation says integer or real; a bool key takes a bool
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _INTERVALS:
-                value = check_number(f.name, value, _INTERVALS[f.name], integer=f.type == "int")
-            elif f.type == "bool" and not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a bool, got {value!r}")
-            object.__setattr__(self, f.name, value)
+        check_fields(self)
         object.__setattr__(self, "cutoffs", evaluation.check_cutoffs(self.cutoffs, ConfigError))
         if self.beta > 0.0 and self.batch_size < 2:
             # the HSIC term compares at least two distinct batch users
@@ -122,13 +111,8 @@ class TrainState:
     best_metric: float = float("-inf")
 
     def parameters(self) -> Dict[str, np.ndarray]:
-        return {
-            "embeddings": self.embeddings.matrix,
-            "layer1_weight": self.denoiser.layer1_weight,
-            "layer1_bias": self.denoiser.layer1_bias,
-            "layer2_weight": self.denoiser.layer2_weight,
-            "layer2_bias": self.denoiser.layer2_bias,
-        }
+        return dict(zip(objective.PARAM_BLOCKS,
+                        (self.embeddings.matrix,) + self.denoiser.head()))
 
 
 def init(config: TrainConfig, dataset: Dataset, rng: np.random.Generator) -> TrainState:
@@ -328,10 +312,9 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
         arrays[name] = data.reshape(shape).astype(np.float64)
         start += 8 * size
     try:
-        table = EmbeddingTable(arrays["embeddings"], config.layers)
-        den = DenoiserParams(arrays["layer1_weight"], arrays["layer1_bias"],
-                             arrays["layer2_weight"], arrays["layer2_bias"],
-                             config.temperature, config.epsilon)
+        matrix, *head = (arrays[name] for name in blocks)
+        table = EmbeddingTable(matrix, config.layers)
+        den = DenoiserParams(*head, config.temperature, config.epsilon)
         if not (table.matrix.shape[1] == den.dim == config.embedding_dim):
             raise ConfigError(
                 f"embedding width {table.matrix.shape[1]}, denoiser width {den.dim} "

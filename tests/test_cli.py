@@ -1,6 +1,7 @@
 """End-to-end command-line runs: files produced, precedence, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import re
 import typing
@@ -15,6 +16,8 @@ from gbsr.cli import RunConfig, build_parser, main, read_config_file
 from gbsr.data import (SyntheticSpec, generate_synthetic, interactions_text,
                        noise_labels_text, social_text)
 from gbsr.trainer import TrainConfig
+
+from test_ranges import SPEC_INTEGERS, SPEC_REALS, TRAIN_INTEGERS, TRAIN_REALS
 
 SYNTH_FLAGS = ["--cluster-count", "2", "--users-per-cluster", "12",
                "--items-per-cluster", "10", "--interaction-rate", "0.4",
@@ -785,6 +788,49 @@ class TestFlags:
         config = json.loads((tmp_path / "manifest.json").read_text())["effective_config"]
         assert config["detach_original"] is True
         assert config["kernel_normalize"] is False
+
+
+# each key's interval as the tables of test_ranges state it, plus the two
+# that hold per entry of a list
+_STATED_INTERVALS = {**dict(TRAIN_INTEGERS + TRAIN_REALS + SPEC_INTEGERS + SPEC_REALS),
+              "split_ratio": "(0, 1]", "cutoffs": "[1, inf)"}
+
+
+def _declaring_field(key):
+    """The dataclass field that declares a config key (RunConfig's seed)."""
+    for cls in (RunConfig, TrainConfig, SyntheticSpec):
+        for f in dataclasses.fields(cls):
+            if f.name == key:
+                return f
+
+
+class TestHelp:
+    def test_every_key_declares_help(self):
+        for key in _KEY_TYPES:
+            assert _declaring_field(key).metadata.get("help"), key
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "export-confidence", "synth"])
+    def test_help_names_each_interval_and_default(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        printed = "".join(capsys.readouterr().out.split())
+        for action in _subparsers()[command]._actions:
+            if action.dest not in _KEY_TYPES:
+                continue
+            key, text = action.dest, action.help
+            assert "".join(text.split()) in printed, key
+            if key in _STATED_INTERVALS:
+                assert f"in {_STATED_INTERVALS[key]}" in text, key
+            default = _declaring_field(key).default
+            written = re.search(r"; default (\S+)$", text)
+            if default is None:
+                assert written is None, key
+            else:
+                # the printed default, given to the flag, is the default
+                flag = "--" + key.replace("_", "-")
+                parsed = vars(build_parser().parse_args([command, flag, written[1]]))[key]
+                assert parsed == default and type(parsed) is type(default), key
 
 
 class TestConfigFile:

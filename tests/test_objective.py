@@ -392,6 +392,22 @@ class TestGradientValidation:
             gradients(E, params, layout, batch, deltas, layers=2,
                       beta=1.0, reg_lambda=0.0, sigma_sq=0.0)
 
+    @pytest.mark.parametrize("rows", [6, 8])
+    def test_embedding_rows_not_one_per_node(self, rows):
+        ds, layout, E, params, batch, deltas = make_instance()
+        wrong = np.resize(E, (rows, E.shape[1]))
+        with pytest.raises(DataError, match=f"embedding matrix has {rows} rows but the "
+                                            f"graph has {layout.node_count} nodes"):
+            gradients(wrong, params, layout, batch, deltas, layers=2,
+                      beta=1.0, reg_lambda=0.0, sigma_sq=1.0)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (7, 5), (7,)])
+    def test_embedding_width_not_the_heads(self, shape):
+        ds, layout, E, params, batch, deltas = make_instance()
+        with pytest.raises(ConfigError, match="embedding dimension mismatch: params expect 4"):
+            gradients(np.zeros(shape), params, layout, batch, deltas, layers=2,
+                      beta=1.0, reg_lambda=0.0, sigma_sq=1.0)
+
     def test_single_user_batch_with_bottleneck(self):
         ds, layout, E, params, _, deltas = make_instance()
         solo = (np.array([1, 1]), np.array([0, 1]), np.array([1, 0]))

@@ -210,6 +210,21 @@ class TestRunConfig:
         assert cfg.seed == (4, 5) and all(type(s) is int for s in cfg.seed)
 
 
+class TestDeclarations:
+    """Each numeric key declares on its field the interval stated above."""
+
+    @pytest.mark.parametrize("cls, table", [(TrainConfig, TRAIN_INTEGERS + TRAIN_REALS),
+                                            (SyntheticSpec, SPEC_INTEGERS + SPEC_REALS)])
+    def test_numeric_fields(self, cls, table):
+        declared = {f.name: f.metadata.get("interval") for f in dataclasses.fields(cls)
+                    if f.type in ("int", "float")}
+        assert declared == dict(table)
+
+    def test_split_ratio(self):
+        (split,) = [f for f in dataclasses.fields(RunConfig) if f.name == "split_ratio"]
+        assert split.metadata.get("interval") == "(0, 1]"
+
+
 def _denoiser(**kw):
     return DenoiserParams(np.zeros((12, 4)), np.zeros(4), np.zeros((4, 1)), np.zeros(1), **kw)
 
@@ -306,6 +321,24 @@ class TestDataArguments:
         # the ratio is checked before either file is read
         with pytest.raises(DataError, match=_message("split_ratio", "(0, 1]", False, value)):
             load_dataset(tmp_path / "missing.tsv", tmp_path / "missing.tsv", split_ratio=value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS + [-1])
+    def test_load_dataset_seed(self, tmp_path, value):
+        # checked before either file is read; True once split with seed 1
+        with pytest.raises(DataError, match=_message("seed", "[0, inf)", True, value)):
+            load_dataset(tmp_path / "missing.tsv", tmp_path / "missing.tsv", seed=value)
+
+    @pytest.mark.parametrize("key", ["user_count", "item_count"])
+    @pytest.mark.parametrize("value", NOT_INTEGERS + [2.7, -1])
+    def test_dataset_counts(self, key, value):
+        counts = {"user_count": 2, "item_count": 3, key: value}
+        with pytest.raises(DataError, match=_message(key, "[0, inf)", True, value)):
+            Dataset(**counts, train=[], test=[], social=[])
+
+    def test_numpy_dataset_counts_are_stored_as_python_ints(self):
+        ds = Dataset(np.int64(2), np.uint8(3), [], [], [])
+        assert (ds.user_count, ds.item_count) == (2, 3)
+        assert type(ds.user_count) is int and type(ds.item_count) is int
 
     @pytest.mark.parametrize("value", NOT_INTEGERS + [0])
     def test_batch_size(self, tiny_dataset, value):
