@@ -12,6 +12,7 @@ checkpoint failures.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import typing
@@ -178,12 +179,17 @@ def run_train(cfg: RunConfig) -> None:
     reports: List[evaluation.MetricsReport] = []
     for seed in cfg.seed:
         train_cfg = replace(cfg.train, seed=seed)
-        best, log = trainer.fit(train_cfg, dataset)
         ckpt_name = f"checkpoint_seed{seed}.bin"
         log_name = f"train_log_seed{seed}.jsonl"
+        records = trainer.epochs(train_cfg, dataset)
+        first = next(records)  # the input checks run here: a failure writes nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # flushed per record: a killed run leaves a byte prefix of the full log
+        with open(out_dir / log_name, "w", encoding="utf-8", newline="\n") as log:
+            for record, best in itertools.chain([first], records):
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+                log.flush()
         trainer.save_checkpoint(best, train_cfg, out_dir / ckpt_name)
-        atomic_write_text(out_dir / log_name,
-                          "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
         reports.append(trainer.evaluate_state(best, dataset, train_cfg))
         outputs += [ckpt_name, log_name]
     cutoffs = cfg.train.cutoffs

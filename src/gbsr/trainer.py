@@ -1,6 +1,6 @@
-"""Training loop: Adam on the recorded objective, periodic evaluation,
-best-checkpoint tracking with patience-based early stopping, and a binary
-checkpoint format.
+"""Training: `epochs` is the one epoch loop (Adam on the recorded objective,
+periodic evaluation, best-state tracking, patience-based early stopping) and
+yields each log record as it is made; `fit` collects them.  Binary checkpoints.
 
 Reproducibility contract: a fixed config seed fully determines parameter
 init, batch draws, relaxation draws, and therefore the training log and the
@@ -14,7 +14,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def train_epoch(state: TrainState, dataset: Dataset, config: TrainConfig,
         sums += (breakdown.rec_loss, breakdown.ib_loss,
                  breakdown.reg_loss, breakdown.total)
     state.epoch += 1
-    rec, ib, reg, total = (sums / n_batches).tolist()
-    return state, objective.LossBreakdown(rec, ib, reg, total)
+    return state, objective.LossBreakdown(*(sums / n_batches).tolist())
 
 
 def evaluate_state(state: TrainState, dataset: Dataset,
@@ -177,45 +176,44 @@ def _carve_validation(dataset: Dataset, config: TrainConfig) -> Dataset:
                    dataset.social_pairs)
 
 
-def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
-    """Train to completion; returns the best-selection-metric state and the
-    structured training log (one dict per record, JSON-serializable)."""
+def epochs(config: TrainConfig, dataset: Dataset) -> Iterator[Tuple[dict, TrainState]]:
+    """The training loop: yields (record, best) per log record as it is made.  `best`
+    is the best-selection-metric state so far, the live state until an evaluation
+    improves; the input checks run at the first `next()`, before any record."""
     work = _carve_validation(dataset, config) if config.validation_ratio > 0 else dataset
     if config.eval_every <= config.epochs:
         evaluation.require_test_pairs(work)
     rng = np.random.default_rng(config.seed)
-    state = init(config, work, rng)
-    log: List[dict] = [{"event": "config", **config_as_dict(config)}]
-    best: Optional[TrainState] = None
+    state = best = init(config, work, rng)
+    yield {"event": "config", **config_as_dict(config)}, best
     evals_since_best = 0
     for epoch in range(1, config.epochs + 1):
-        state, losses = train_epoch(state, work, config, rng)
-        record = {"epoch": epoch, "rec_loss": losses.rec_loss,
-                  "ib_loss": losses.ib_loss, "reg_loss": losses.reg_loss,
-                  "total_loss": losses.total}
+        _, losses = train_epoch(state, work, config, rng)  # updates state in place
+        record = {"epoch": epoch, "rec_loss": losses.rec_loss, "ib_loss": losses.ib_loss,
+                  "reg_loss": losses.reg_loss, "total_loss": losses.total}
         if epoch % config.eval_every == 0:
             report = evaluate_state(state, work, config)
-            for n in config.cutoffs:
-                record[f"recall@{n}"] = report.recall[n]
-                record[f"ndcg@{n}"] = report.ndcg[n]
+            record.update({f"{kind}@{n}": getattr(report, kind)[n]
+                           for n in config.cutoffs for kind in ("recall", "ndcg")})
             metric = report.recall[config.selection_cutoff]
-            if metric > state.best_metric:
+            record["improved"] = metric > state.best_metric
+            evals_since_best = 0 if record["improved"] else evals_since_best + 1
+            if record["improved"]:
                 state.best_metric = metric
                 best = copy.deepcopy(state)
-                evals_since_best = 0
-                record["improved"] = True
-            else:
-                evals_since_best += 1
-                record["improved"] = False
             record["best_metric"] = state.best_metric
-            log.append(record)
-            if evals_since_best >= config.patience:
-                log.append({"event": "early_stop", "epoch": epoch,
-                            "best_metric": state.best_metric})
-                break
-        else:
-            log.append(record)
-    return (best if best is not None else state), log
+        yield record, best
+        if evals_since_best >= config.patience:
+            yield {"event": "early_stop", "epoch": epoch, "best_metric": state.best_metric}, best
+            return
+
+
+def fit(config: TrainConfig, dataset: Dataset) -> Tuple[TrainState, List[dict]]:
+    """Train to completion; returns the last `best` and every record `epochs` yields."""
+    log = []
+    for record, best in epochs(config, dataset):
+        log.append(record)
+    return best, log
 
 
 # -- config serialization ----------------------------------------------------
@@ -280,9 +278,12 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
         config = config_from_dict(header["config"])
         epoch, adam_step = (check_number(k, header[k], "[0, inf)", integer=True)
                             for k in ("epoch", "adam_step"))
-        best_metric = float(header["best_metric"])
+        best_metric = check_number("best_metric", header["best_metric"], "[-inf, 1]")
         entries = [(name, tuple(int(d) for d in shape)) for name, shape in header["arrays"]]
         shapes = dict(entries)
+        for name, shape in header["arrays"]:
+            if not all(type(d) is int for d in shape):  # int() took a bool, float or string
+                raise ValueError(f"array {name!r} has a dimension that is not an integer: {shape}")
     except (ValueError, TypeError, KeyError, OverflowError, ConfigError) as err:
         raise CheckpointError(f"{path}: bad checkpoint header: {err}") from err
 
@@ -323,6 +324,5 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
         raise CheckpointError(f"{path}: arrays do not form a model: {err}") from err
     adam = Adam(config.learning_rate)
     adam.step_count = adam_step
-    adam.m = {name: arrays[f"m.{name}"] for name in blocks}
-    adam.v = {name: arrays[f"v.{name}"] for name in blocks}
+    adam.m, adam.v = ({name: arrays[f"{moment}.{name}"] for name in blocks} for moment in "mv")
     return TrainState(table, den, adam, epoch, best_metric), config

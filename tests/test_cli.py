@@ -11,10 +11,11 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from gbsr import graph
+from gbsr import graph, trainer
 from gbsr.cli import RunConfig, build_parser, main, read_config_file
 from gbsr.data import (SyntheticSpec, generate_synthetic, interactions_text,
                        noise_labels_text, social_text)
+from gbsr.errors import NumericError
 from gbsr.trainer import TrainConfig
 
 from test_ranges import SPEC_INTEGERS, SPEC_REALS, TRAIN_INTEGERS, TRAIN_REALS
@@ -230,6 +231,30 @@ class TestTrain:
         trained = json.loads((tmp_path / "run" / "metrics.json").read_text())
         evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         assert evaluated["cutoffs"] == trained["cutoffs"]
+
+    def test_interrupted_run_keeps_its_log_prefix(self, data_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        # a run stopped at epoch 3 leaves the config record and epochs 1-2,
+        # byte for byte as the full run wrote them, and no other file
+        args = ["train", "--embedding-dim", "8", "--layers", "2", "--batch-size", "64",
+                "--epochs", "5", "--interactions", str(data_dir / "interactions.tsv"),
+                "--social", str(data_dir / "social.tsv"), "--out"]
+        assert main(args + [str(tmp_path / "full")]) == 0
+        train_epoch = trainer.train_epoch
+
+        def fail_at_epoch_3(state, *rest):
+            if state.epoch == 2:
+                raise NumericError("epoch 3, batch 0: injected")
+            return train_epoch(state, *rest)
+
+        monkeypatch.setattr(trainer, "train_epoch", fail_at_epoch_3)
+        cut = tmp_path / "cut"
+        assert main(args + [str(cut)]) == 3
+        assert "injected" in capsys.readouterr().err
+        assert [p.name for p in cut.iterdir()] == ["train_log_seed0.jsonl"]
+        log = (cut / "train_log_seed0.jsonl").read_bytes()
+        assert [json.loads(line).get("epoch") for line in log.splitlines()] == [None, 1, 2]
+        assert (tmp_path / "full" / "train_log_seed0.jsonl").read_bytes().startswith(log)
 
     def test_multi_seed_run(self, data_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -550,6 +575,24 @@ class TestErrors:
         assert code == 2
         assert "nothing to evaluate" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_empty_validation_split_writes_nothing(self, tmp_path, capsys):
+        # each user keeps one of two interactions for train, and a 10%
+        # validation carve of one pair takes none: the run fails before
+        # its first record, so no log file is opened
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "interactions.tsv").write_text(
+            "".join(f"{u}\t{u + k}\n" for u in range(10) for k in (0, 10)), encoding="utf-8")
+        (data / "social.tsv").write_text(
+            "".join(f"{u}\t{u + 1}\n" for u in range(9)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["train", "--validation-ratio", "0.1", "--embedding-dim", "8",
+                     "--interactions", str(data / "interactions.tsv"),
+                     "--social", str(data / "social.tsv"), "--out", str(out)])
+        assert code == 2
+        assert "nothing to evaluate" in capsys.readouterr().err
+        assert _no_files(out)
 
     def test_export_needs_no_test_split(self, train_dir, data_dir, tmp_path):
         code = main(["export-confidence", "--split-ratio", "1",

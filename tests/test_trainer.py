@@ -20,6 +20,14 @@ from gbsr.trainer import (CHECKPOINT_MAGIC, INIT_SCALE, Adam, TrainConfig,
 OUT_OF_DOMAIN = [(k, float("inf")) for k in ("learning_rate", "reg_lambda", "beta",
                                              "sigma_sq", "temperature")] + [("seed", -1)]
 
+# header values that once loaded, each with its spelling in the message and a
+# test id: best_metric is a recall or -inf, and an array dimension a JSON integer
+BAD_BEST_METRICS = [(True, "True", "bool"), ("nan", "'nan'", "nan-string"),
+                    ("inf", "'inf'", "inf-string"), (float("nan"), "nan", "nan"),
+                    (7.5, "7.5", "above-one")]
+BAD_DIMENSIONS = [(4.5, "4.5", "fraction"), (4.0, "4.0", "float"), (True, "True", "bool"),
+                  ("4", "'4'", "string")]
+
 
 def quick_config(**kw):
     base = dict(embedding_dim=8, layers=2, learning_rate=0.05, batch_size=64,
@@ -295,6 +303,30 @@ class TestFit:
             fit(quick_config(epochs=2, eval_every=2,
                              validation_ratio=validation_ratio), ds)
 
+    @pytest.mark.parametrize("kw", [dict(epochs=4), dict(epochs=50, learning_rate=0.0,
+                                                          patience=1)],
+                             ids=["every-epoch", "early-stop"])
+    def test_fit_collects_what_epochs_yields(self, small_synthetic, kw):
+        ds, _ = small_synthetic
+        cfg = quick_config(**kw)
+        yielded = list(trainer.epochs(cfg, ds))
+        state, log = fit(cfg, ds)
+        assert log == [record for record, _ in yielded]
+        assert (log[-1].get("event") == "early_stop") == ("patience" in kw)
+        last = yielded[-1][1]
+        assert (state.epoch, state.best_metric) == (last.epoch, last.best_metric)
+        for name, value in last.parameters().items():
+            np.testing.assert_array_equal(state.parameters()[name], value, err_msg=name)
+
+    def test_best_is_the_live_state_until_an_evaluation(self, small_synthetic):
+        ds, _ = small_synthetic
+        records = trainer.epochs(quick_config(epochs=2, eval_every=2), ds)
+        (_, at_config), (_, at_epoch1) = next(records), next(records)
+        assert at_epoch1 is at_config and at_epoch1.epoch == 1
+        (record, at_epoch2), = records
+        assert record["improved"] and at_epoch2 is not at_epoch1
+        assert at_epoch2.epoch == at_epoch1.epoch == 2  # the live state trains on
+
     def test_empty_test_split_trains_when_nothing_is_evaluated(self):
         ds = Dataset(3, 3, [(0, 0), (1, 1), (2, 2)], [], [(0, 1)])
         state, log = fit(quick_config(epochs=2, eval_every=3), ds)
@@ -499,12 +531,20 @@ class TestCheckpoint:
         (lambda h: h["config"].__setitem__("embedding_dim", 4),
          r"arrays do not form a model: embedding width 8, denoiser width 8 "
          r"and embedding_dim=4 differ$"),
+    ] + [(lambda h, v=v: h.__setitem__("best_metric", v),
+          rf"bad checkpoint header: best_metric must be a number in \[-inf, 1\], got {shown}$")
+         for v, shown, _ in BAD_BEST_METRICS
+    ] + [(lambda h, d=d: h["arrays"][2].__setitem__(1, [d]),
+          rf"bad checkpoint header: array 'layer1_bias' has a dimension that is not an "
+          rf"integer: \[{shown}\]$") for d, shown, _ in BAD_DIMENSIONS
     ] + [(lambda h, k=k, v=v: h["config"].__setitem__(k, v),
           rf"bad checkpoint header: {k} must be") for k, v in OUT_OF_DOMAIN],
         ids=["bad-config-value", "missing-counter", "fractional-counter", "missing-array",
              "unknown-array", "duplicate-array", "negative-dim",
              "infinite-dim", "unhashable-name", "moment-shape",
              "inconsistent-blocks", "config-width"]
+        + [f"best-metric-{name}" for _, _, name in BAD_BEST_METRICS]
+        + [f"dim-{name}" for _, _, name in BAD_DIMENSIONS]
         + [f"config-{k}" for k, _ in OUT_OF_DOMAIN])
     def test_bad_header_detected(self, tmp_path, small_synthetic, edit,
                                  message):
