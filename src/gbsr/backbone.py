@@ -19,10 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .errors import ConfigError, DataError, check_number
+from .config import TrainConfig, check_declared
+from .errors import ConfigError, DataError
 from .graph import DEGREE_FLOOR, EdgeLayout, WeightedAdjacency, renormalize
-
-MAX_LAYERS = 4
 
 
 @dataclass
@@ -38,8 +37,8 @@ class EmbeddingTable:
             raise ConfigError(f"embedding matrix must be 2-D, got shape {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise ConfigError("embedding matrix contains non-finite values")
-        self.layer_count = check_number("layer_count", self.layer_count,
-                                        f"[1, {MAX_LAYERS}]", integer=True)
+        self.layer_count = check_declared(TrainConfig, "layers", self.layer_count,
+                                          name="layer_count")
 
 
 @dataclass

@@ -15,40 +15,16 @@ import argparse
 import itertools
 import json
 import sys
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import data as data_mod
 from . import denoiser as denoiser_mod
 from . import evaluation, graph, trainer
-from .errors import (CheckpointError, ConfigError, DataError, GbsrError, NumericError,
-                     check_fields, check_number, config_field)
+from .config import RunConfig, SyntheticSpec, TrainConfig
+from .errors import CheckpointError, ConfigError, DataError, GbsrError, NumericError
 from .ioutil import atomic_write_text
-
-
-@dataclass
-class RunConfig:
-    train: trainer.TrainConfig
-    synthetic: data_mod.SyntheticSpec
-    interactions: Optional[str] = config_field(None, help="user-item edge file (TSV)")
-    social: Optional[str] = config_field(None, help="user-user edge file (TSV)")
-    out: Optional[str] = config_field(None, help="output directory")
-    checkpoint: Optional[str] = config_field(None, help="checkpoint file from train")
-    # only train takes several, one model each; the first seeds split and synth
-    seed: Tuple[int, ...] = config_field((0,), help="comma-separated seeds, each in [0, inf)")
-    split_ratio: float = config_field(0.8, "(0, 1]", "per-user train fraction")
-    # train-config keys the user set explicitly (file or flag); evaluate and
-    # export check them against a checkpoint's embedded config
-    explicit_train: frozenset = frozenset()
-
-    def __post_init__(self):
-        check_fields(self)
-        self.seed = tuple(check_number("seed", s, "[0, inf)", integer=True) for s in self.seed)
-        repeats = [s for s in self.seed if self.seed.count(s) > 1]
-        if repeats:  # one model per seed: a repeat would overwrite its files
-            raise ConfigError(f"seed {repeats[0]} is given more than once in {list(self.seed)}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -67,25 +43,21 @@ def _parse_int_list(raw: str) -> Tuple[int, ...]:
         raise ConfigError(f"expected a comma-separated integer list, got {raw!r}") from None
 
 
-# every config key, file or flag, parses by the type its dataclass field declares
-_PARSERS = {int: int, float: float, bool: _parse_bool,
-            Tuple[int, ...]: _parse_int_list, Optional[str]: str}
-_RUN_KEYS = {k: t for k, t in typing.get_type_hints(RunConfig).items()
-             if k not in ("train", "synthetic", "explicit_train")}
-# `seed` is a RunConfig list; TrainConfig.seed and SyntheticSpec.seed are
-# only ever its first entry
-_TRAIN_KEYS, _SYNTH_KEYS = ({k: t for k, t in typing.get_type_hints(cls).items()
-                             if k != "seed"}
-                            for cls in (trainer.TrainConfig, data_mod.SyntheticSpec))
-_KEY_TYPES = {**_TRAIN_KEYS, **_SYNTH_KEYS, **_RUN_KEYS}
-# the field that declares each key's default, interval and help
-_KEY_FIELDS = {f.name: f for cls in (trainer.TrainConfig, data_mod.SyntheticSpec, RunConfig)
-               for f in fields(cls) if f.name in _KEY_TYPES}
+# every config key, file or flag, parses by the type its field's annotation spells
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
+            "Tuple[int, ...]": _parse_int_list, "Optional[str]": str}
+# each key's `config_field`: its type, default, interval and help.  `seed`
+# is a RunConfig list; TrainConfig.seed and SyntheticSpec.seed are only
+# ever its first entry
+_TRAIN_KEYS, _SYNTH_KEYS, _RUN_KEYS = ({f.name: f for f in fields(cls) if f.metadata
+                                        and (cls is RunConfig or f.name != "seed")}
+                                       for cls in (TrainConfig, SyntheticSpec, RunConfig))
+_KEY_FIELDS = {**_TRAIN_KEYS, **_SYNTH_KEYS, **_RUN_KEYS}
 
 
 def _coerce_key(key: str, raw: str):
     try:
-        return _PARSERS[_KEY_TYPES[key]](raw)
+        return _PARSERS[_KEY_FIELDS[key].type](raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
@@ -107,7 +79,7 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{p}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEY_FIELDS:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce_key(key, raw.strip())
     return out
@@ -124,8 +96,8 @@ def resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
         if not run_kwargs["seed"]:
             raise ConfigError("at least one seed is required")
         train_kwargs["seed"] = synth_kwargs["seed"] = run_kwargs["seed"][0]
-    return RunConfig(train=trainer.TrainConfig(**train_kwargs),
-                     synthetic=data_mod.SyntheticSpec(**synth_kwargs),
+    return RunConfig(train=TrainConfig(**train_kwargs),
+                     synthetic=SyntheticSpec(**synth_kwargs),
                      explicit_train=frozenset(train_kwargs), **run_kwargs)
 
 
@@ -184,6 +156,8 @@ def run_train(cfg: RunConfig) -> None:
         records = trainer.epochs(train_cfg, dataset)
         first = next(records)  # the input checks run here: a failure writes nothing
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest would vouch for this run's files until it ends
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         # flushed per record: a killed run leaves a byte prefix of the full log
         with open(out_dir / log_name, "w", encoding="utf-8", newline="\n") as log:
             for record, best in itertools.chain([first], records):
@@ -300,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         for key in keys:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=_PARSERS[_KEY_TYPES[key]], help=_flag_help(key))
+                            type=_PARSERS[_KEY_FIELDS[key].type], help=_flag_help(key))
     return parser
 
 

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, ParseError, check_fields, check_number,
-                     config_field)
+from .config import RunConfig, SyntheticSpec, TrainConfig, check_declared
+from .errors import DataError, ParseError, check_number
 
 # negative sampling redraws an item at most this many times per triple
 NEGATIVE_RETRY_BOUND = 100
@@ -49,34 +48,6 @@ _FLOOR_EPS = 1e-9
 # the most users + items a Dataset holds: every pair key a * width + b with
 # a, b below the node count is then below MAX_NODES ** 2 <= 2 ** 63
 MAX_NODES = math.isqrt(2 ** 63)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Parameters for the planted-noise cluster generator.
-
-    Users and items are partitioned into `cluster_count` blocks.  Interactions
-    and genuine social edges stay within a block; `noise_edge_fraction` (eta)
-    controls how many cross-block social edges are planted on top, as a
-    fraction of the genuine edge count.
-
-    Every field but `seed` is also a `gbsr synth` config key; a value out of
-    range raises ConfigError, like any other bad configuration.
-    """
-
-    cluster_count: int = config_field(2, "[1, inf)", "user and item clusters")
-    users_per_cluster: int = config_field(100, "[1, inf)", "users in each cluster")
-    items_per_cluster: int = config_field(100, "[1, inf)", "items in each cluster")
-    interaction_rate: float = config_field(0.15, "[0, 1]", "in-cluster interaction probability")
-    intra_social_rate: float = config_field(0.1, "[0, 1]", "in-cluster social edge probability")
-    noise_edge_fraction: float = config_field(0.5, "[0, inf)", "noise edges per genuine edge")
-    seed: int = config_field(0, "[0, inf)")
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.noise_edge_fraction > 0 and self.cluster_count < 2:
-            # a planted noise edge crosses from one cluster to another
-            raise ConfigError("noise_edge_fraction > 0 needs cluster_count >= 2")
 
 
 class Dataset:
@@ -301,8 +272,8 @@ def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
     Dense user ids follow first appearance in the interaction file and then
     the social file; item ids follow first appearance in the interaction file.
     """
-    split_ratio = check_number("split_ratio", split_ratio, "(0, 1]", error=DataError)
-    seed = check_number("seed", seed, "[0, inf)", integer=True, error=DataError)
+    split_ratio = check_declared(RunConfig, "split_ratio", split_ratio, error=DataError)
+    seed = check_declared(TrainConfig, "seed", seed, error=DataError)
     inter_raw = _read_edge_file(interactions_path)
     # an empty social file is the social-free graph
     social_raw = _read_edge_file(social_path, allow_empty=True)
@@ -340,8 +311,7 @@ def sample_batch_arrays(dataset: Dataset, batch_size: int,
     """
     if dataset.train_pairs.shape[0] == 0:
         raise DataError("cannot sample training triples: train set is empty")
-    batch_size = check_number("batch_size", batch_size, "[1, inf)", integer=True,
-                              error=DataError)
+    batch_size = check_declared(TrainConfig, "batch_size", batch_size, error=DataError)
     idx = rng.integers(0, dataset.train_pairs.shape[0], size=batch_size)
     users = dataset.train_pairs[idx, 0].copy()
     positives = dataset.train_pairs[idx, 1].copy()

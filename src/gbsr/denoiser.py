@@ -27,16 +27,13 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import graph
+from .config import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, TrainConfig, check_declared
 from .data import Dataset
-from .errors import ConfigError, DataError, check_number
+from .errors import ConfigError, DataError
 from .graph import EdgeLayout, layout_for
 
 CONFIDENCE_CLAMP = 1e-6
 DELTA_CLAMP = 1e-12
-
-# the relaxation's defaults, shared by `DenoiserParams` and the train config
-DEFAULT_TEMPERATURE = 0.2
-DEFAULT_EPSILON = 0.5
 
 # the confidence head's parameter blocks, in the order `confidences` takes them
 HEAD_BLOCKS = ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias")
@@ -64,8 +61,9 @@ class DenoiserParams:
         for name in HEAD_BLOCKS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} contains non-finite values")
-        self.temperature = check_number("temperature", self.temperature, "(0, inf)")
-        self.observation_bias = check_number("observation_bias", self.observation_bias, "[0, 1]")
+        self.temperature = check_declared(TrainConfig, "temperature", self.temperature)
+        self.observation_bias = check_declared(TrainConfig, "epsilon", self.observation_bias,
+                                               name="observation_bias")
 
     @property
     def dim(self) -> int:
@@ -213,8 +211,8 @@ def relax_sample(w: ad.Tensor, delta, temperature: float,
 
     The sum is never negative, so clipping it to [0, 1] is that minimum,
     with the same zero gradient where it clamps."""
-    check_number("temperature", temperature, "(0, inf)")
-    check_number("observation_bias", observation_bias, "[0, 1]")
+    check_declared(TrainConfig, "temperature", temperature)
+    check_declared(TrainConfig, "epsilon", observation_bias, name="observation_bias")
     w = ad.clip(w, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP)
     d = np.clip(delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP)
     relaxed = ad.sigmoid((w + np.log(d / (1.0 - d))) / temperature)

@@ -4,12 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError and CheckpointError -> 3.  Every scalar range check of a config
 key or public numeric argument is one `check_number` call: a bad config key
 raises ConfigError, a bad data-level argument DataError.
-
-Each config key is declared once, on its dataclass field (`config_field`):
-default, interval and help.  `check_fields` checks a config against them.
 """
 
-import dataclasses
 import numbers
 import operator
 
@@ -57,23 +53,3 @@ def check_number(name, value, interval, *, integer=False, error=ConfigError):
         return operator.index(value) if isinstance(value, numbers.Integral) else float(value)
     kind = "an integer" if integer else "a number"
     raise error(f"{name} must be {kind} in {interval}, got {value!r}")
-
-
-def config_field(default, interval=None, help=None):
-    """A dataclass field declaring a config key: its default, the interval
-    `check_number` holds it to (or None), and its flag help (or None)."""
-    return dataclasses.field(default=default, metadata={"interval": interval, "help": help})
-
-
-def check_fields(config) -> None:
-    """Check each field of a config dataclass against its declaration and
-    keep the Python number `check_number` returns: an `int` field with an
-    interval takes an integer, and a `bool` field takes a bool."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.metadata.get("interval") is not None:
-            value = check_number(f.name, value, f.metadata["interval"],
-                                 integer=f.type in ("int", int))
-        elif f.type in ("bool", bool) and not isinstance(value, bool):
-            raise ConfigError(f"{f.name} must be a bool, got {value!r}")
-        object.__setattr__(config, f.name, value)

@@ -22,7 +22,6 @@ worker count, so neither does any product or result.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import graph
 from .backbone import NodeRepresentations
+from .config import check_cutoffs
 from .data import Dataset
 from .errors import DataError, check_number
 
@@ -110,16 +110,6 @@ def _ranked_block(readout: np.ndarray, dataset: Dataset, lo: int, hi: int,
     length = np.minimum(k, n - np.bincount(train_rows, minlength=hi - lo))
     keep = position < length[rows]
     return rows[keep], position[keep], items[keep]
-
-
-def check_cutoffs(cutoffs, error=DataError) -> Tuple[int, ...]:
-    """`cutoffs` as a tuple of Python ints; raises `error` unless it holds
-    one or more integers >= 1, Python's or numpy's."""
-    checked = tuple(cutoffs) if isinstance(cutoffs, Iterable) else ()
-    if not checked:
-        raise error(f"cutoffs must hold one or more integers, got {cutoffs!r}")
-    return tuple(check_number("cutoff", n, "[1, inf)", integer=True, error=error)
-                 for n in checked)
 
 
 def rank_user(reps: NodeRepresentations, dataset: Dataset, user: int,

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .errors import DataError, check_number
+from .config import TrainConfig, check_declared
+from .errors import DataError
 
 
 def _normalize_rows(Z: np.ndarray):
@@ -169,7 +170,7 @@ def rbf_kernel(X: np.ndarray, sigma_sq: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError(f"kernel input must be (n >= 2, d), got shape {X.shape}")
-    check_number("sigma_sq", sigma_sq, "(0, inf)")
+    check_declared(TrainConfig, "sigma_sq", sigma_sq)
     return _rbf(X, sigma_sq, np.empty((X.shape[0], X.shape[0])))
 
 

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import backbone, denoiser, hsic
+from .config import TrainConfig, check_declared
 from .denoiser import DenoiserParams
-from .errors import ConfigError, DataError, NumericError, check_number
+from .errors import ConfigError, DataError, NumericError
 from .graph import EdgeLayout
 
 # BPR margin clamp: softplus(40) ~ 4e-18, so wider margins change nothing
@@ -71,7 +72,7 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     users, positives, negatives = (np.asarray(x, dtype=np.int64) for x in batch)
     if not (users.shape == positives.shape == negatives.shape) or users.ndim != 1 or users.size == 0:
         raise DataError("batch arrays must be equal-length nonempty int vectors")
-    if users.size and (users.min() < 0 or users.max() >= layout.user_count):
+    if users.min() < 0 or users.max() >= layout.user_count:
         raise DataError("batch users outside the graph's user range")
     for name, arr in (("positive", positives), ("negative", negatives)):
         if arr.min() < 0 or arr.max() >= layout.item_count:
@@ -79,10 +80,8 @@ def gradients(embeddings: np.ndarray, params: DenoiserParams,
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (layout.social_count,):
         raise DataError("delta vector must align with the social pairs")
-    # TrainConfig's intervals
-    check_number("beta", beta, "[0, inf)")
-    check_number("reg_lambda", reg_lambda, "[0, inf)")
-    check_number("sigma_sq", sigma_sq, "(0, inf)")
+    for key, value in (("beta", beta), ("reg_lambda", reg_lambda), ("sigma_sq", sigma_sq)):
+        check_declared(TrainConfig, key, value)
 
     M = layout.user_count
     E0 = ad.Tensor(embeddings, requires_grad=with_grads)

@@ -21,11 +21,11 @@ import numpy as np
 from . import backbone
 from . import data as data_mod
 from . import evaluation, objective
-from .backbone import EmbeddingTable, MAX_LAYERS
+from .backbone import EmbeddingTable
+from .config import TrainConfig
 from .data import Dataset
-from .denoiser import DEFAULT_EPSILON, DEFAULT_TEMPERATURE, DenoiserParams, denoise
-from .errors import (CheckpointError, ConfigError, NumericError, check_fields,
-                     check_number, config_field)
+from .denoiser import DenoiserParams, denoise
+from .errors import CheckpointError, ConfigError, NumericError, check_number
 from .graph import EdgeLayout, build_adjacency, layout_for
 from .ioutil import atomic_write_bytes
 
@@ -38,42 +38,6 @@ ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"GBSRCKPT"
 CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    embedding_dim: int = config_field(64, "[1, inf)", "width of each embedding row")
-    layers: int = config_field(3, f"[1, {MAX_LAYERS}]", "propagation depth")
-    learning_rate: float = config_field(0.001, "[0, inf)", "Adam step size")
-    batch_size: int = config_field(2048, "[1, inf)", "training triples per batch")
-    reg_lambda: float = config_field(1e-4, "[0, inf)", "L2 weight on the embedding table")
-    beta: float = config_field(1.0, "[0, inf)", "bottleneck weight")
-    sigma_sq: float = config_field(1.0, "(0, inf)", "RBF kernel bandwidth (sigma squared)")
-    temperature: float = config_field(DEFAULT_TEMPERATURE, "(0, inf)", "relaxation temperature")
-    epsilon: float = config_field(DEFAULT_EPSILON, "[0, 1]", "additive floor on relaxed weights")
-    epochs: int = config_field(100, "[0, inf)", "passes over the train interactions")
-    eval_every: int = config_field(1, "[1, inf)", "epochs between evaluations")
-    patience: int = config_field(50, "[1, inf)", "evaluations without a gain before stopping")
-    seed: int = config_field(0, "[0, inf)")
-    cutoffs: Tuple[int, ...] = config_field((10, 20), help="ranking cutoffs, each in [1, inf)")
-    detach_original: bool = config_field(
-        False, help="hold the original-graph branch constant in the bottleneck")
-    kernel_normalize: bool = config_field(
-        True, help="L2-normalize rows before the kernels (false feeds raw rows)")
-    validation_ratio: float = config_field(
-        0.0, "[0, 1)", "carve this per-user train fraction out for model selection")
-
-    def __post_init__(self):
-        check_fields(self)
-        object.__setattr__(self, "cutoffs", evaluation.check_cutoffs(self.cutoffs, ConfigError))
-        if self.beta > 0.0 and self.batch_size < 2:
-            # the HSIC term compares at least two distinct batch users
-            raise ConfigError(f"batch_size must be >= 2 when beta > 0, got batch_size="
-                              f"{self.batch_size} and beta={self.beta}")
-
-    @property
-    def selection_cutoff(self) -> int:
-        return 20 if 20 in self.cutoffs else max(self.cutoffs)
 
 
 class Adam:
@@ -279,11 +243,11 @@ def load_checkpoint(path) -> Tuple[TrainState, TrainConfig]:
         epoch, adam_step = (check_number(k, header[k], "[0, inf)", integer=True)
                             for k in ("epoch", "adam_step"))
         best_metric = check_number("best_metric", header["best_metric"], "[-inf, 1]")
-        entries = [(name, tuple(int(d) for d in shape)) for name, shape in header["arrays"]]
-        shapes = dict(entries)
         for name, shape in header["arrays"]:
-            if not all(type(d) is int for d in shape):  # int() took a bool, float or string
+            if not all(type(d) is int for d in shape):  # no bool, float, string or null
                 raise ValueError(f"array {name!r} has a dimension that is not an integer: {shape}")
+        entries = [(name, tuple(shape)) for name, shape in header["arrays"]]
+        shapes = dict(entries)
     except (ValueError, TypeError, KeyError, OverflowError, ConfigError) as err:
         raise CheckpointError(f"{path}: bad checkpoint header: {err}") from err
 

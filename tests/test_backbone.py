@@ -8,7 +8,8 @@ from conftest import STRADDLE_PAIRS, central_diff, inv_sqrt
 
 from gbsr import autodiff as ad
 from gbsr import graph
-from gbsr.backbone import MAX_LAYERS, EmbeddingTable, forward, propagate
+from gbsr.backbone import EmbeddingTable, forward, propagate
+from gbsr.config import MAX_LAYERS
 from gbsr.data import Dataset
 from gbsr.errors import ConfigError, DataError
 from gbsr.evaluation import _buffers, _ranked_block, rank_user

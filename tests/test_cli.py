@@ -256,6 +256,31 @@ class TestTrain:
         assert [json.loads(line).get("epoch") for line in log.splitlines()] == [None, 1, 2]
         assert (tmp_path / "full" / "train_log_seed0.jsonl").read_bytes().startswith(log)
 
+    def test_interrupted_rerun_leaves_no_manifest(self, data_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        # a re-run into a finished directory removes the earlier manifest
+        # before its log starts: a directory without one holds no whole run
+        args = ["train", "--embedding-dim", "8", "--layers", "2", "--batch-size", "64",
+                "--interactions", str(data_dir / "interactions.tsv"),
+                "--social", str(data_dir / "social.tsv"), "--out", str(tmp_path)]
+        assert main(args + ["--epochs", "1"]) == 0
+        assert (tmp_path / "manifest.json").exists()
+        train_epoch = trainer.train_epoch
+
+        def fail_at_epoch_2(state, *rest):
+            if state.epoch == 1:
+                raise NumericError("epoch 2, batch 0: injected")
+            return train_epoch(state, *rest)
+
+        monkeypatch.setattr(trainer, "train_epoch", fail_at_epoch_2)
+        assert main(args + ["--epochs", "3"]) == 3
+        assert "injected" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+        log = [json.loads(line) for line in
+               (tmp_path / "train_log_seed0.jsonl").read_text().splitlines()]
+        assert log[0]["event"] == "config" and log[0]["epochs"] == 3
+        assert [record.get("epoch") for record in log] == [None, 1]
+
     def test_multi_seed_run(self, data_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEXT, encoding="utf-8")
@@ -368,13 +393,18 @@ class TestEvaluate:
         assert not (out / "confidence.csv").exists()
 
 
-def _with_header_config(blob, key, value):
-    """A checkpoint's bytes with one key of its header's config replaced."""
+def _with_header(blob, edit):
+    """A checkpoint's bytes with its JSON header changed in place by `edit`."""
     length = int.from_bytes(blob[12:20], "little")
     header = json.loads(blob[20:20 + length])
-    header["config"][key] = value
+    edit(header)
     raw = json.dumps(header).encode("utf-8")
     return blob[:12] + len(raw).to_bytes(8, "little") + raw + blob[20 + length:]
+
+
+def _with_header_config(blob, key, value):
+    """A checkpoint's bytes with one key of its header's config replaced."""
+    return _with_header(blob, lambda header: header["config"].__setitem__(key, value))
 
 
 class TestCheckpointLabel:
@@ -413,6 +443,17 @@ class TestCheckpointLabel:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:")
         assert f"bad checkpoint header: {message}\n" in err
+
+    @pytest.mark.parametrize("dim", ["abc", None], ids=["word", "null"])
+    def test_dimension_that_is_not_an_integer(self, train_dir, data_dir, tmp_path, capsys,
+                                              dim):
+        # every dimension is checked before any is used
+        blob = _with_header((train_dir / "checkpoint_seed0.bin").read_bytes(),
+                            lambda header: header["arrays"][2].__setitem__(1, [dim]))
+        assert self.run(data_dir, tmp_path, blob) == 3
+        err = capsys.readouterr().err
+        assert (f"bad checkpoint header: array 'layer1_bias' has a dimension that is not "
+                f"an integer: [{dim!r}]\n") in err
 
 
 class TestSeed:

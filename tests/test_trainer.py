@@ -26,7 +26,7 @@ BAD_BEST_METRICS = [(True, "True", "bool"), ("nan", "'nan'", "nan-string"),
                     ("inf", "'inf'", "inf-string"), (float("nan"), "nan", "nan"),
                     (7.5, "7.5", "above-one")]
 BAD_DIMENSIONS = [(4.5, "4.5", "fraction"), (4.0, "4.0", "float"), (True, "True", "bool"),
-                  ("4", "'4'", "string")]
+                  ("4", "'4'", "string"), ("abc", "'abc'", "word"), (None, "None", "null")]
 
 
 def quick_config(**kw):
@@ -519,7 +519,8 @@ class TestCheckpoint:
         (lambda h: h["arrays"][3].__setitem__(1, [-1, 1]),
          r"array 'layer2_weight' has a negative dimension \(-1, 1\)$"),
         (lambda h: h["arrays"][2].__setitem__(1, [float("inf")]),
-         r"bad checkpoint header: cannot convert float infinity to integer"),
+         r"bad checkpoint header: array 'layer1_bias' has a dimension that is not an "
+         r"integer: \[inf\]$"),
         (lambda h: h["arrays"][2].__setitem__(0, ["layer1_bias"]),
          r"bad checkpoint header: unhashable type"),
         (lambda h: h["arrays"][6].__setitem__(
