@@ -2,7 +2,8 @@
 
 Configuration precedence: explicit flags > config file > defaults.  The
 config file is flat `key=value` lines (# comments allowed); unknown keys are
-rejected.  Each key's flag is `--` plus the key with `_` turned into `-`
+rejected, and so is a key set twice in the file or a flag given twice.
+Each key's flag is `--` plus the key with `_` turned into `-`
 (`embedding_dim` is `--embedding-dim`).  Every run writes a manifest.json
 capturing the fully resolved configuration, so a run can be reproduced from
 its output directory alone.
@@ -70,7 +71,7 @@ def read_config_file(path) -> dict:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {p}: {err}") from None
-    out = {}
+    out, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -81,6 +82,9 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in _KEY_FIELDS:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
+        if key in set_on:  # the last value would win silently
+            raise ConfigError(f"{p}:{lineno}: {key} is set again; line {set_on[key]} set it")
+        set_on[key] = lineno
         out[key] = _coerce_key(key, raw.strip())
     return out
 
@@ -238,6 +242,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, and refuse the flag a second time rather than
+    let the last value win silently."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:  # no flag parses to None
+            parser.error(f"{option_string} is given more than once")
+        setattr(namespace, self.dest, values)
+
+
 # the keys of every command that reads the edge files
 _DATA_KEYS = ("out", "seed", "interactions", "social", "split_ratio")
 # subcommand -> (runner, help, the config keys it takes as flags)
@@ -271,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, keys) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        sp.add_argument("--config", help="flat key=value config file")
+        sp.add_argument("--config", action=_Once, help="flat key=value config file")
         for key in keys:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, action=_Once,
                             type=_PARSERS[_KEY_FIELDS[key].type], help=_flag_help(key))
     return parser
 

@@ -265,8 +265,8 @@ def _split_per_user(pairs: np.ndarray, ratio: float,
     return pairs[in_train], pairs[~in_train]
 
 
-def load_dataset(interactions_path, social_path, split_ratio: float = 0.8,
-                 seed: int = 0) -> Dataset:
+def load_dataset(interactions_path, social_path, split_ratio: float = RunConfig.split_ratio,
+                 seed: int = TrainConfig.seed) -> Dataset:
     """Read the two edge files, re-index densely, split, and symmetrize.
 
     Dense user ids follow first appearance in the interaction file and then

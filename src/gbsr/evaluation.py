@@ -29,7 +29,7 @@ import numpy as np
 
 from . import graph
 from .backbone import NodeRepresentations
-from .config import check_cutoffs
+from .config import TrainConfig, check_cutoffs
 from .data import Dataset
 from .errors import DataError, check_number
 
@@ -130,7 +130,7 @@ def require_test_pairs(dataset: Dataset) -> None:
 
 
 def evaluate(reps: NodeRepresentations, dataset: Dataset,
-             cutoffs: Sequence[int] = (10, 20)) -> MetricsReport:
+             cutoffs: Sequence[int] = TrainConfig.cutoffs) -> MetricsReport:
     cutoffs = check_cutoffs(cutoffs)
     require_test_pairs(dataset)
     _check_readout(reps, dataset)

@@ -60,8 +60,8 @@ def plain_original_readout(embeddings: np.ndarray, layout: EdgeLayout,
 def gradients(embeddings: np.ndarray, params: DenoiserParams,
               layout: EdgeLayout, batch, deltas, *,
               layers: int, beta: float, reg_lambda: float, sigma_sq: float,
-              detach_original: bool = False, kernel_normalize: bool = True,
-              with_grads: bool = True
+              detach_original: bool = TrainConfig.detach_original,
+              kernel_normalize: bool = TrainConfig.kernel_normalize, with_grads: bool = True
               ) -> Tuple[LossBreakdown, Optional[Dict[str, np.ndarray]]]:
     """Run the recorded training pipeline for one batch.
 

@@ -599,6 +599,21 @@ class TestErrors:
         assert "cannot read config file" in capsys.readouterr().err
         assert _no_files(out)
 
+    def test_key_set_twice_in_config_file_is_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=5\n# a comment\nepochs=10\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:3: epochs is set again; line 1 set it\n")
+
+    def test_flag_given_twice_is_exit_1(self, capsys):
+        # "1" parses under every flag's type
+        for command, sp in _subparsers().items():
+            for flag in [a.option_strings[0] for a in sp._actions if a.dest != "help"]:
+                assert main([command, flag, "1", flag, "1"]) == 1, flag
+                assert capsys.readouterr().err == (
+                    f"config error: {flag} is given more than once\n")
+
     def test_bad_config_value_is_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs=soon\n", encoding="utf-8")
