@@ -202,20 +202,30 @@ def literal_defaults(sources):
     return faults
 
 
+def public_ops(trees):
+    """The public top-level functions of autodiff.py."""
+    return [stmt for stmt in trees["autodiff.py"].body
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+
+
+def op_faults(trees, ops):
+    """A fault for each of `ops` that no `ad.<name>(...)` call in the package
+    reaches and no perfbench layer wraps."""
+    callers = {node.func.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "ad"}
+    return [f"autodiff.py:{op.lineno} defines {op.name}, which has no ad.{op.name}(...) "
+            f"call in src/gbsr and no benchmark layer"
+            for op in ops if op.name not in callers and f"gbsr.autodiff:{op.name}" not in WRAPPED]
+
+
 def op_set(sources):
     """Every public autodiff function is called as `ad.<name>(...)` in the
     package or wrapped by a perfbench layer: no tape op lives on for the
     tests alone."""
     trees = parse(sources)
-    ops = [stmt for stmt in trees["autodiff.py"].body
-           if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
-    callers = {node.func.attr for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and isinstance(node.func.value, ast.Name) and node.func.value.id == "ad"}
-    faults = [f"autodiff.py:{op.lineno} defines {op.name}, which has no ad.{op.name}(...) "
-              f"call in src/gbsr and no benchmark layer"
-              for op in ops if op.name not in callers and f"gbsr.autodiff:{op.name}" not in WRAPPED]
-    return faults if ops else ["autodiff.py defines no public op"]
+    ops = public_ops(trees)
+    return op_faults(trees, ops) if ops else ["autodiff.py defines no public op"]
 
 
 RULES = [pool, block_names, environment, epoch_loop, interval_per_key, literal_defaults,
